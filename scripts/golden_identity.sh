@@ -80,22 +80,40 @@ for sc in "${SCENARIOS[@]}"; do
   done
 done
 
+# The small paired grid (less its workloads) the HEAD-only sweep gates
+# below run through graphpim_sim --sweep.
+GRID='modes=baseline,graphpim;vertices=2048;opcap=150000;seed=1'
+
 # HEAD-only gate: the multi-cube network does not exist at the merge base
 # (the base binary rejects --num-cubes), so its identity check is jobs-count
 # invariance instead of a base diff — a pinned-seed num_cubes=2 sweep must
 # emit a bit-identical deterministic CSV at --jobs=1 and --jobs=4.
 echo "== multi-cube determinism (num_cubes=2, jobs 1 vs 4)"
-cmake --build build -j "$(nproc)" --target graphpim_sweep >/dev/null
 for j in 1 4; do
-  build/tools/graphpim_sweep --workloads=bfs,dc --modes=baseline,graphpim \
-      --num-cubes=2 --vertices=2048 --opcap=150000 --seed=1 --jobs="$j" \
-      --det-csv="$WORK/cubes2.j$j.csv" >/dev/null
+  build/tools/graphpim_sim --sweep="workloads=bfs,dc;$GRID" --num-cubes=2 \
+      --jobs="$j" --det-csv="$WORK/cubes2.j$j.csv" >/dev/null
 done
 if cmp -s "$WORK/cubes2.j1.csv" "$WORK/cubes2.j4.csv"; then
   echo "   cubes2.det-csv: jobs-invariant"
 else
   echo "golden_identity: FAIL — num_cubes=2 sweep differs across --jobs:" >&2
   diff "$WORK/cubes2.j1.csv" "$WORK/cubes2.j4.csv" | head -20 >&2
+  fail=1
+fi
+
+# HEAD-only gate: a machine-knob flag given next to --sweep applies to the
+# whole grid exactly like the same key inside the spec.
+echo "== sweep flag forwarding (--link-ber=1e-7 vs link_ber=1e-7 in the spec)"
+FWD_GRID='workloads=bfs;modes=graphpim;vertices=2048;opcap=150000;threads=8'
+build/tools/graphpim_sim --sweep="$FWD_GRID" --link-ber=1e-7 \
+    --det-csv="$WORK/fwd.flag.csv" >/dev/null
+build/tools/graphpim_sim --sweep="$FWD_GRID;link_ber=1e-7" \
+    --det-csv="$WORK/fwd.spec.csv" >/dev/null
+if cmp -s "$WORK/fwd.flag.csv" "$WORK/fwd.spec.csv"; then
+  echo "   fwd.det-csv: flag and spec key identical"
+else
+  echo "golden_identity: FAIL — --link-ber next to --sweep differs from the spec key:" >&2
+  diff "$WORK/fwd.flag.csv" "$WORK/fwd.spec.csv" | head -20 >&2
   fail=1
 fi
 
@@ -150,30 +168,6 @@ for sc in "${SCENARIOS[@]}"; do
   done
 done
 
-# HEAD-only gate: the intra-run sharded replay engine (DESIGN.md §15). The
-# base binary rejects --shards, so the identity check is shard-count
-# invariance: every pinned scenario must emit byte-identical --json and
-# deterministic report output at --shards=4 and at the serial default.
-echo "== shard invariance (--shards=4 vs serial HEAD)"
-for sc in "${SCENARIOS[@]}"; do
-  name="${sc%%|*}"
-  read -r -a flags <<< "${sc#*|}"
-  build/tools/graphpim_sim "${COMMON[@]}" "${flags[@]}" \
-      --shards=4 --json="$WORK/$name.s4.json" \
-      > "$WORK/$name.s4.out"
-  sed -n '/^config:/,/^uncore energy:/p' "$WORK/$name.s4.out" \
-      > "$WORK/$name.s4.report"
-  for kind in json report; do
-    if cmp -s "$WORK/$name.head.$kind" "$WORK/$name.s4.$kind"; then
-      echo "   $name.$kind: shard-invariant"
-    else
-      echo "golden_identity: FAIL — --shards=4 perturbs $name.$kind:" >&2
-      diff "$WORK/$name.head.$kind" "$WORK/$name.s4.$kind" | head -20 >&2
-      fail=1
-    fi
-  done
-done
-
 echo "== crash-sweep determinism (gup, jobs 1 vs 4, rerun)"
 for run in j1 j4 rerun; do
   j=1; [[ "$run" == j4 ]] && j=4
@@ -205,8 +199,7 @@ build/tools/graphpim_sim "${COMMON[@]}" --workload=bfs --mode=all \
 # Rows carry wall_ms and land in completion order under --jobs=4, so the
 # invariant is the *sorted sidecar lines*, not the whole journal.
 for j in 1 4; do
-  build/tools/graphpim_sweep --workloads=bfs --modes=baseline,graphpim \
-      --vertices=2048 --opcap=150000 --seed=1 --jobs="$j" \
+  build/tools/graphpim_sim --sweep="workloads=bfs;$GRID" --jobs="$j" \
       --trace-sample-rate=0.05 --journal="$WORK/spans.j$j.jsonl" >/dev/null
   grep '^{"spans_for":' "$WORK/spans.j$j.jsonl" | sort \
       > "$WORK/spans.j$j.sidecars"
@@ -270,9 +263,9 @@ fi
 # rejects --telemetry-window-ns, so two halves again: (a) telemetry off is
 # the default and passing the knob explicitly at 0 must reproduce the
 # flag-less HEAD outputs byte for byte on every pinned scenario; (b) a
-# windowed run's timeline must be bit-identical across --shards, across
-# reruns, and across --jobs for the sweep journal sidecars, and every
-# artifact must clear scripts/validate_trace.py.
+# windowed run's timeline must be bit-identical across reruns and across
+# --jobs for the sweep journal sidecars, and every artifact must clear
+# scripts/validate_trace.py.
 echo "== telemetry-off identity (--telemetry-window-ns=0 vs no flag)"
 for sc in "${SCENARIOS[@]}"; do
   name="${sc%%|*}"
@@ -293,29 +286,23 @@ for sc in "${SCENARIOS[@]}"; do
   done
 done
 
-echo "== timeline determinism (shards 1 vs 4, rerun, sweep jobs 1 vs 4)"
-for run in s1 s4 rerun; do
-  s=1; [[ "$run" == s4 ]] && s=4
+echo "== timeline determinism (rerun, sweep jobs 1 vs 4)"
+for run in first rerun; do
   build/tools/graphpim_sim "${COMMON[@]}" --workload=bfs --mode=graphpim \
-      --shards="$s" --telemetry-window-ns=5000 \
-      --timeline-out="$WORK/tl.$run.jsonl" \
+      --telemetry-window-ns=5000 --timeline-out="$WORK/tl.$run.jsonl" \
       --metrics-out="$WORK/tl.$run.metrics.json" >/dev/null
 done
-for pair in "s1 s4" "s1 rerun"; do
-  read -r a b <<< "$pair"
-  if cmp -s "$WORK/tl.$a.jsonl" "$WORK/tl.$b.jsonl"; then
-    echo "   timeline $a vs $b: identical"
-  else
-    echo "golden_identity: FAIL — timeline $a vs $b differs:" >&2
-    diff "$WORK/tl.$a.jsonl" "$WORK/tl.$b.jsonl" | head -20 >&2
-    fail=1
-  fi
-done
+if cmp -s "$WORK/tl.first.jsonl" "$WORK/tl.rerun.jsonl"; then
+  echo "   timeline first vs rerun: identical"
+else
+  echo "golden_identity: FAIL — timeline first vs rerun differs:" >&2
+  diff "$WORK/tl.first.jsonl" "$WORK/tl.rerun.jsonl" | head -20 >&2
+  fail=1
+fi
 # Sweep rows retire in completion order under --jobs=4, so (as with span
 # sidecars) the invariant is the sorted timeline sidecar lines.
 for j in 1 4; do
-  build/tools/graphpim_sweep --workloads=bfs --modes=baseline,graphpim \
-      --vertices=2048 --opcap=150000 --seed=1 --jobs="$j" \
+  build/tools/graphpim_sim --sweep="workloads=bfs;$GRID" --jobs="$j" \
       --telemetry-window-ns=5000 --journal="$WORK/tl.j$j.jsonl" >/dev/null
   grep '^{"timeline_for":' "$WORK/tl.j$j.jsonl" | sort \
       > "$WORK/tl.j$j.sidecars"
@@ -327,8 +314,8 @@ else
   diff "$WORK/tl.j1.sidecars" "$WORK/tl.j4.sidecars" | head -20 >&2
   fail=1
 fi
-if python3 scripts/validate_trace.py "$WORK/tl.s1.jsonl" \
-    "$WORK/tl.s1.metrics.json" "$WORK/tl.j1.jsonl"; then
+if python3 scripts/validate_trace.py "$WORK/tl.first.jsonl" \
+    "$WORK/tl.first.metrics.json" "$WORK/tl.j1.jsonl"; then
   echo "   timeline artifacts: valid"
 else
   echo "golden_identity: FAIL — timeline artifacts rejected by validate_trace.py" >&2
@@ -338,7 +325,7 @@ fi
 # work dir itself is wiped by the trap.
 if [[ -n "${TELEMETRY_OUT_DIR:-}" ]]; then
   mkdir -p "$TELEMETRY_OUT_DIR"
-  cp "$WORK/tl.s1.jsonl" "$WORK/tl.s1.metrics.json" "$WORK/tl.j1.jsonl" \
+  cp "$WORK/tl.first.jsonl" "$WORK/tl.first.metrics.json" "$WORK/tl.j1.jsonl" \
      "$TELEMETRY_OUT_DIR/"
 fi
 
@@ -346,21 +333,21 @@ fi
 # counter drift must trip the non-zero exit CI keys on.
 echo "== graphpim_compare sentinel (self-compare passes, drift fails)"
 cmake --build build -j "$(nproc)" --target graphpim_compare >/dev/null
-if build/tools/graphpim_compare "$WORK/tl.s1.jsonl" "$WORK/tl.rerun.jsonl" \
+if build/tools/graphpim_compare "$WORK/tl.first.jsonl" "$WORK/tl.rerun.jsonl" \
     --tolerance=0 >/dev/null; then
   echo "   self-compare: exit 0"
 else
   echo "golden_identity: FAIL — compare of identical timelines reported drift" >&2
   fail=1
 fi
-python3 - "$WORK/tl.s1.jsonl" "$WORK/tl.drift.jsonl" <<'EOF'
+python3 - "$WORK/tl.first.jsonl" "$WORK/tl.drift.jsonl" <<'EOF'
 import json, sys
 lines = [json.loads(l) for l in open(sys.argv[1])]
 key = next(iter(lines[0]["deltas"]))
 lines[0]["deltas"][key] = lines[0]["deltas"][key] * 1.5 + 7
 open(sys.argv[2], "w").write("\n".join(json.dumps(l) for l in lines) + "\n")
 EOF
-if build/tools/graphpim_compare "$WORK/tl.s1.jsonl" "$WORK/tl.drift.jsonl" \
+if build/tools/graphpim_compare "$WORK/tl.first.jsonl" "$WORK/tl.drift.jsonl" \
     --tolerance=0.02 >/dev/null; then
   echo "golden_identity: FAIL — compare missed an injected counter drift" >&2
   fail=1

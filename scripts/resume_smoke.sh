@@ -8,13 +8,13 @@
 # torn-line tolerance, fingerprint checking, and deterministic re-execution
 # of the missing rows.
 #
-# Usage: scripts/resume_smoke.sh [path/to/graphpim_sweep]
+# Usage: scripts/resume_smoke.sh [path/to/graphpim_sim]
 set -u
 
-SWEEP="${1:-build/tools/graphpim_sweep}"
-if [[ ! -x "$SWEEP" ]]; then
-  echo "resume_smoke: $SWEEP not found or not executable" >&2
-  echo "build first: cmake -B build && cmake --build build --target graphpim_sweep" >&2
+SIM="${1:-build/tools/graphpim_sim}"
+if [[ ! -x "$SIM" ]]; then
+  echo "resume_smoke: $SIM not found or not executable" >&2
+  echo "build first: cmake -B build && cmake --build build --target graphpim_sim" >&2
   exit 1
 fi
 
@@ -23,16 +23,15 @@ trap 'rm -rf "$WORK"' EXIT
 
 # A grid big enough that a mid-run kill lands between rows, small enough to
 # finish in seconds. Fault knobs on, so injection state must survive too.
-ARGS=(--workloads=bfs,prank --modes=baseline,graphpim --vertices=8192
-      --opcap=400000 --jobs=2 --progress=0
-      --link-ber=1e-7 --vault-stall-ppm=200)
+ARGS=("--sweep=workloads=bfs,prank;modes=baseline,graphpim;vertices=8192;opcap=400000"
+      --jobs=2 --link-ber=1e-7 --vault-stall-ppm=200)
 
 echo "== reference run (uninterrupted)"
-"$SWEEP" "${ARGS[@]}" --det-csv="$WORK/ref.csv" >/dev/null || {
+"$SIM" "${ARGS[@]}" --det-csv="$WORK/ref.csv" >/dev/null || {
   echo "resume_smoke: FAIL — reference run errored" >&2; exit 1; }
 
 echo "== victim run (SIGKILL mid-sweep)"
-"$SWEEP" "${ARGS[@]}" --journal="$WORK/rows.jsonl" >/dev/null &
+"$SIM" "${ARGS[@]}" --journal="$WORK/rows.jsonl" >/dev/null &
 VICTIM=$!
 # Wait for the journal to hold at least one completed row, then kill -9.
 for _ in $(seq 1 200); do
@@ -52,7 +51,7 @@ if [[ "$STATUS" -ne 137 ]]; then
 fi
 
 echo "== resumed run"
-"$SWEEP" "${ARGS[@]}" --journal="$WORK/rows.jsonl" --resume=1 \
+"$SIM" "${ARGS[@]}" --journal="$WORK/rows.jsonl" --resume=1 \
     --det-csv="$WORK/resumed.csv" | grep -E "resumed|FAILED" || true
 
 if cmp -s "$WORK/ref.csv" "$WORK/resumed.csv"; then

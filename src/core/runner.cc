@@ -1,9 +1,7 @@
 #include "core/runner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/log.h"
@@ -160,20 +158,18 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
         });
   }
 
-  // Loosely-synchronized quantum loop with barrier rendezvous.
+  // Loosely-synchronized quantum loop with barrier rendezvous. Each round
+  // advances every running core to quantum_end in index order, then either
+  // finishes, releases the barrier rendezvous, or skips dead time.
   Tick quantum_end = cfg.quantum;
-
-  // One engine round's tail: aggregate core statuses and either finish,
-  // release the barrier rendezvous, or skip dead time. Shared by the serial
-  // loop and the sharded engine's controller shard; both invoke it only
-  // after every core advanced in index order, so the sequence of
-  // quantum_end / release decisions is identical at any shard count.
-  // Returns true when the run is complete.
-  auto round_tail = [&]() -> bool {
-    // Telemetry window cuts key off the round's quantum_end *before* it is
-    // updated below: the sequence of quantum_end values is shard-invariant
-    // (the controller shard runs this exactly where the serial loop does),
-    // so the cut points — and the timeline — are too.
+  while (true) {
+    for (int i = 0; i < cfg.num_cores; ++i) {
+      if (status[i] == OooCore::Status::kRunning) {
+        status[i] = cores[static_cast<std::size_t>(i)]->Advance(quantum_end);
+      }
+    }
+    // Telemetry window cuts key off the round's quantum_end before it is
+    // updated below, so the cut points depend only on simulated time.
     if (tele != nullptr && quantum_end >= tele->next_boundary()) {
       StatRegistry merged = mem.stats();
       for (const auto& c : cores) merged.Merge(c->stats());
@@ -185,7 +181,7 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
       if (status[i] == OooCore::Status::kRunning) any_running = true;
       if (status[i] != OooCore::Status::kDone) all_done = false;
     }
-    if (all_done) return true;
+    if (all_done) break;
     if (!any_running) {
       // Everyone alive is parked at the same barrier: release at the
       // latest arrival.
@@ -215,91 +211,19 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
       }
       quantum_end = std::max(quantum_end + cfg.quantum, next + cfg.quantum);
     }
-    return false;
-  };
-
-  const int num_shards = std::min(cfg.shards, cfg.num_cores);
-  if (num_shards <= 1) {
-    // Serial engine: the strict default path.
-    while (true) {
-      for (int i = 0; i < cfg.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kRunning) {
-          status[i] = cores[static_cast<std::size_t>(i)]->Advance(quantum_end);
-        }
-      }
-      if (round_tail()) break;
-    }
-  } else {
-    // Sharded engine (DESIGN.md §15): each worker owns a contiguous chunk
-    // of cores and advances them only while holding the turn token, which
-    // circulates 0 → 1 → … → S-1 every round. Holding the token gives a
-    // shard exclusive access to the shared memory system and engine state
-    // (the release store / acquire load pair carries the happens-before
-    // chain), and the token order reproduces the serial core-advancement
-    // total order exactly — outputs are bit-identical by construction.
-    // Shard S-1 doubles as the controller, running round_tail() at the end
-    // of its turn, precisely where the serial loop runs it.
-    std::atomic<std::uint64_t> turn{0};
-    bool engine_done = false;
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(num_shards));
-    for (int s = 0; s < num_shards; ++s) {
-      workers.emplace_back([&, s]() {
-        const auto [begin, end] = workloads::ThreadChunk(
-            static_cast<std::size_t>(cfg.num_cores), s, num_shards);
-        const std::uint64_t stride = static_cast<std::uint64_t>(num_shards);
-        std::uint64_t my_turn = static_cast<std::uint64_t>(s);
-        while (true) {
-          while (turn.load(std::memory_order_acquire) != my_turn) {
-            std::this_thread::yield();
-          }
-          if (engine_done) {
-            turn.store(my_turn + 1, std::memory_order_release);
-            return;
-          }
-          for (std::size_t i = begin; i < end; ++i) {
-            if (status[i] == OooCore::Status::kRunning) {
-              status[i] = cores[i]->Advance(quantum_end);
-            }
-          }
-          if (s == num_shards - 1 && round_tail()) {
-            // Controller exits immediately on completion; the other shards
-            // each take one more turn to observe engine_done (they may only
-            // read it while holding the token — the acquire at the top of
-            // the turn is what orders the read after this write).
-            engine_done = true;
-            turn.store(my_turn + 1, std::memory_order_release);
-            return;
-          }
-          turn.store(my_turn + 1, std::memory_order_release);
-          my_turn += stride;
-        }
-      });
-    }
-    for (auto& w : workers) w.join();
   }
 
-  if (opts.phases != nullptr) {
-    Tick end_tick = 0;
-    for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
-    cut_phase("drain", end_tick);
-  }
-
+  Tick end_tick = 0;
+  for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
+  cut_phase("drain", end_tick);
   if (tele != nullptr) {
-    Tick end_tick = 0;
-    for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
     StatRegistry merged = mem.stats();
     for (const auto& c : cores) merged.Merge(c->stats());
     tele->Finish(end_tick, merged);
   }
-
   // Seal the persist domain before Collect so pmem.unpersisted_at_end is
   // in the merged registry the report sees.
-  if (mem.persist_domain() != nullptr) {
-    Tick end_tick = 0;
-    for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
-    mem.persist_domain()->Finish(end_tick);
-  }
+  if (mem.persist_domain() != nullptr) mem.persist_domain()->Finish(end_tick);
 
   SimResults r = Collect(cfg, cores, mem, spans.get());
   r.trace_peak_bytes = trace.BytesUsed();

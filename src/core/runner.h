@@ -55,10 +55,9 @@ struct RunOptions {
 
   // When non-null AND cfg.telemetry_window_ns > 0, receives the run's
   // windowed counter/gauge timeline (DESIGN.md §17; cleared first). The
-  // sampler cuts windows at the engine's round tail, where quantum_end is
-  // identical at any --shards, so the timeline is bit-identical across
-  // shard counts and reruns. With window_ns == 0 no sampler is built and
-  // this stays untouched.
+  // sampler cuts windows at the end of each replay-loop round, so the
+  // timeline is bit-identical across reruns. With window_ns == 0 no
+  // sampler is built and this stays untouched.
   telemetry::Timeline* timeline = nullptr;
 };
 
@@ -68,6 +67,11 @@ struct RunOptions {
 // carries per-run instrumentation; callers with none pass `RunOptions{}` —
 // deliberately no default, so every call site states its instrumentation
 // intent and there is exactly one overload to audit.
+//
+// The replay runs on the calling thread: one loosely-synchronized quantum
+// loop advances the cores in index order against the shared memory system
+// and starts no threads. Independent runs parallelize across a ThreadPool
+// (graphpim_sim --jobs, sweeps), since each call owns all of its state.
 SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                          Addr pmr_base, Addr pmr_end, const RunOptions& opts);
 

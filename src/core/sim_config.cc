@@ -85,9 +85,6 @@ constexpr KnobRow kKnobs[] = {
     {"retry_ns", "retry-ns", 0, 1'000'000, false,
      [](const SimConfig& c) { return TicksToNs(c.hmc.fault.retry_latency); },
      [](SimConfig& c, double v) { c.hmc.fault.retry_latency = NsToTicks(v); }},
-    {"sim.shards", "shards", 1, 256, true,
-     [](const SimConfig& c) { return static_cast<double>(c.shards); },
-     [](SimConfig& c, double v) { c.shards = static_cast<int>(v); }},
     {"trace.sample_rate", "trace-sample-rate", 0, 1, false,
      [](const SimConfig& c) { return c.trace_sample_rate; },
      [](SimConfig& c, double v) { c.trace_sample_rate = v; }},
@@ -146,11 +143,18 @@ constexpr KnobRow kKnobs[] = {
 };
 
 // True and yields the value when `cfg` carries the row's key under either
-// spelling.
+// spelling. Both spellings with different values is a SimError: neither
+// may silently win.
 bool LookupKnob(const Config& cfg, const KnobRow& row, double* out) {
   const char* key = nullptr;
   if (cfg.Has(row.key)) {
     key = row.key;
+    if (row.cli != nullptr && cfg.Has(row.cli) &&
+        cfg.GetString(row.cli, "") != cfg.GetString(row.key, "")) {
+      GP_THROW("config key '", row.key, "' given twice with different ",
+               "values: '", cfg.GetString(row.key, ""), "', and '",
+               cfg.GetString(row.cli, ""), "' as '", row.cli, "'");
+    }
   } else if (row.cli != nullptr && cfg.Has(row.cli)) {
     key = row.cli;
   }

@@ -40,12 +40,6 @@ struct SimConfig {
   // Quantum for loosely-synchronized multi-core advancement.
   Tick quantum = NsToTicks(5.0);
 
-  // Engine shards for intra-run parallel replay (DESIGN.md §15). Cores are
-  // chunked across this many worker threads; a deterministic turn-token
-  // protocol reproduces the serial core-advancement order exactly, so every
-  // output is bit-identical at any value. 1 = the classic serial loop.
-  int shards = 1;
-
   // Extra host penalty for the bus-lock fallback (kUncacheNoPim), cycles.
   int bus_lock_penalty = 100;
 

@@ -112,14 +112,12 @@ void OooCore::IssueOp(const MicroOp& op) {
 
   // ROB space: retiring the head in order frees an entry; a long-latency
   // head stalls dispatch (the classic backend-bound case).
-  bool head_is_atomic = false;
   if (rob_count_ == rob_.size()) {
     const RobEntry& head = rob_[rob_head_];
     if (head.complete > dispatch) {
       if (head.is_atomic) {
         stats_.Add(sid_atomic_dep_ticks_,
                    static_cast<double>(head.complete - dispatch));
-        head_is_atomic = true;
       }
       dispatch = head.complete;
     }
@@ -127,7 +125,6 @@ void OooCore::IssueOp(const MicroOp& op) {
     if (++rob_head_ == rob_.size()) rob_head_ = 0;
     --rob_count_;
   }
-  (void)head_is_atomic;
 
   // Execution start: operands must be ready.
   Tick exec_start = dispatch;

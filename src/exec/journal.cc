@@ -282,7 +282,6 @@ std::string RowToJson(const SweepRow& row) {
   s += ",\"profile\":\"" + JsonEscape(row.profile) + "\"";
   s += ",\"config\":\"" + JsonEscape(row.config_name) + "\"";
   s += ",\"seed\":" + U(row.seed);
-  s += ",\"attempts\":" + U(static_cast<std::uint64_t>(row.attempts));
   s += ",\"wall_ms\":" + D(row.wall_ms);
   s += ",\"r\":" + ResultsToJson(row.results);
   s += "}";
@@ -312,9 +311,6 @@ bool RowFromJson(const std::string& line, SweepRow* row) {
   if ((f = v.Get("seed")) == nullptr || f->kind != JVal::Kind::kNum)
     return false;
   row->seed = f->U64();
-  if ((f = v.Get("attempts")) == nullptr || f->kind != JVal::Kind::kNum)
-    return false;
-  row->attempts = static_cast<int>(f->U64());
   if ((f = v.Get("wall_ms")) == nullptr || f->kind != JVal::Kind::kNum)
     return false;
   row->wall_ms = f->Num();

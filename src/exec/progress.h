@@ -1,9 +1,8 @@
-// Shared --progress heartbeat for grid drivers (graphpim_sweep,
-// graphpim_serve): one stderr line per retired job with an ETA
-// extrapolated from the mean wall time of the jobs finished so far.
+// Shared --progress heartbeat for the drivers (graphpim_sim single runs
+// and --sweep grids, graphpim_serve): one stderr line per retired job with
+// an ETA extrapolated from the mean wall time of the jobs finished so far.
 //
-// The line format is the original graphpim_sweep heartbeat, byte for
-// byte. FormatProgressLine is the pure core (unit-testable ETA math);
+// FormatProgressLine is the pure core (unit-testable ETA math);
 // StderrHeartbeat wraps it into a SweepRunner-compatible callback. The
 // runner invokes on_progress serially under its progress lock, so the
 // callback needs no synchronization of its own — but the returned functor

@@ -73,11 +73,10 @@ std::string ToJson(const SweepResultTable& t) {
     out += StrFormat("      \"config\": \"%s\",\n", r.config_name.c_str());
     out += StrFormat("      \"seed\": %llu,\n",
                      static_cast<unsigned long long>(r.seed));
-    // Fault-tolerance fields only when a job actually failed or retried,
-    // so fault-free sweeps serialize byte-identically to the ideal model.
-    if (r.status != JobStatus::kOk || r.attempts != 1) {
+    // Fault-tolerance fields only when a job actually failed, so fault-free
+    // sweeps serialize byte-identically to the ideal model.
+    if (r.status != JobStatus::kOk) {
       out += StrFormat("      \"status\": \"%s\",\n", ToString(r.status));
-      out += StrFormat("      \"attempts\": %d,\n", r.attempts);
       out += StrFormat("      \"error\": \"%s\",\n", JsonEscape(r.error).c_str());
     }
     out += StrFormat("      \"speedup_vs_first\": %.6f,\n",

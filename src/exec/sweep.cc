@@ -20,11 +20,6 @@ namespace graphpim::exec {
 
 namespace {
 
-// Salt folded into the cell seed for a watchdog retry, so the speculative
-// rerun draws a decorrelated trace/fault stream from the (possibly
-// pathological) original.
-constexpr std::uint64_t kRetrySalt = 0x72657472792d3031ULL;  // "retry-01"
-
 // Keys that shape the job matrix itself; every machine knob
 // (link_ber, num_cubes, topology, ...) is owned by SimConfig's field table
 // and routed through SimConfig::FromConfig, so the grid spec accepts new
@@ -170,7 +165,6 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     std::optional<core::SimResults> results;  // empty on failure
     std::string error;
     double wall_ms = 0.0;
-    int attempts = 1;
     trace::PhaseLog phases;  // populated only when journaling phases
     trace::SpanLog spans;    // populated when the config samples spans
     telemetry::Timeline timeline;  // populated when telemetry.window_ns > 0
@@ -382,70 +376,11 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
         continue;
       }
 
-      auto& fut = job_futs[idx];
-      JobOut out;
-      {
-        // Soft watchdog: an overdue job gets ONE speculative retry with a
-        // decorrelated seed. The original is never interrupted (simulation
-        // jobs are not interruptible) and deterministically wins if it
-        // completes OK; the retry only replaces a *failed* original.
-        TaskFuture<JobOut> retry_fut;
-        std::uint64_t retry_seed = 0;
-        if (opts_.job_timeout_ms > 0 && !fut.WaitFor(opts_.job_timeout_ms)) {
-          retry_seed = fault::DeriveFaultSeed(cell_seed ^ kRetrySalt, k);
-          retry_fut = pool.Submit([&, retry_seed, wi, pi, k] {
-            const auto t0 = std::chrono::steady_clock::now();
-            JobOut r;
-            r.attempts = 2;
-            try {
-              core::Experiment::Options eo;
-              eo.num_threads = grid.sim_threads;
-              eo.seed = retry_seed;
-              eo.op_cap = grid.op_cap;
-              eo.params.ann = grid.configs.front().ann;
-              core::Experiment exp(grid.profiles[pi], grid.vertices,
-                                   grid.workloads[wi], eo);
-              core::SimConfig cfg = grid.configs[k];
-              cfg.hmc.fault.seed = fault::DeriveFaultSeed(retry_seed, k);
-              core::RunOptions ro;
-              if (want_phases) ro.phases = &r.phases;
-              if (journal_open && cfg.trace_sample_rate > 0.0) {
-                ro.spans = &r.spans;
-              }
-              if (journal_open && cfg.telemetry_window_ns > 0.0) {
-                ro.timeline = &r.timeline;
-              }
-              r.results = exp.Run(cfg, ro);
-            } catch (const std::exception& e) {
-              r.error = e.what();
-            }
-            r.wall_ms = MsSince(t0);
-            return r;
-          });
-        }
-        auto o = fut.Get();
-        GP_CHECK(o.has_value(), "sweep job was cancelled mid-run");
-        out = std::move(*o);
-        if (retry_fut.valid()) {
-          if (out.results.has_value()) {
-            retry_fut.Cancel();  // best-effort; a running retry is discarded
-            out.attempts = 2;
-          } else {
-            auto r = retry_fut.Get();
-            GP_CHECK(r.has_value(), "retry job was cancelled mid-run");
-            if (r->results.has_value()) {
-              out = std::move(*r);
-              row.seed = retry_seed;  // row reflects the seed actually used
-            } else {
-              out.attempts = 2;
-              out.error += "; retry: " + r->error;
-            }
-          }
-        }
-      }
+      auto o = job_futs[idx].Get();
+      GP_CHECK(o.has_value(), "sweep job was cancelled mid-run");
+      JobOut out = std::move(*o);
 
       row.wall_ms = out.wall_ms;
-      row.attempts = out.attempts;
       if (out.results.has_value()) {
         row.results = std::move(*out.results);
         // Journal only freshly-computed OK rows: failed rows must be
@@ -514,6 +449,7 @@ SweepGrid ParseGridSpec(const std::string& spec) {
     return false;
   };
 
+  std::vector<std::string> keys;  // every key given, for the duplicate check
   for (const std::string& field : Split(spec, ';')) {
     const std::string f = Trim(field);
     if (f.empty()) continue;
@@ -524,6 +460,7 @@ SweepGrid ParseGridSpec(const std::string& spec) {
     }
     const std::string key = Trim(f.substr(0, eq));
     const std::string val = Trim(f.substr(eq + 1));
+    keys.push_back(is_cube_axis_key(key) ? "num_cubes" : key);
     if (key == "workloads") {
       for (const std::string& w : Split(val, ','))
         if (!Trim(w).empty()) grid.workloads.push_back(Trim(w));
@@ -575,6 +512,9 @@ SweepGrid ParseGridSpec(const std::string& spec) {
     GP_THROW("grid spec needs workloads=... (accepted keys: ",
              AcceptedGridKeys(), ")");
   }
+  // A key given twice (say in the spec and again as a graphpim_sim flag)
+  // must not let one value silently win.
+  RejectDuplicates(keys, "key");
   RejectDuplicates(grid.workloads, "workload");
   RejectDuplicates(grid.profiles, "profile");
   if (grid.profiles.empty()) grid.profiles.push_back("ldbc");

@@ -20,10 +20,12 @@
 // optional journal streams finished rows to disk so a killed sweep can be
 // resumed (--resume) without redoing completed coordinates; because replays
 // are deterministic, a resumed table is bit-identical to an uninterrupted
-// run. An optional soft watchdog spawns one speculative retry (fresh
-// decorrelated seed) for overdue jobs; the original result is preferred
-// whenever it completes OK, so the contract holds unless a retry actually
-// replaces a failed original.
+// run. A failed job is never rerun inside the sweep: with its own seed it
+// would fail the same way, and any other seed would put a different graph
+// in the cell.
+//
+// graphpim_sim --sweep=SPEC is the command-line front end (see
+// ParseGridSpec below for the spec language).
 #ifndef GRAPHPIM_EXEC_SWEEP_H_
 #define GRAPHPIM_EXEC_SWEEP_H_
 
@@ -83,7 +85,6 @@ struct SweepRow {
   // retries them.
   JobStatus status = JobStatus::kOk;
   std::string error;
-  int attempts = 1;           // 2 when the watchdog spawned a retry
   bool from_journal = false;  // restored by resume, not re-simulated
 };
 
@@ -131,13 +132,6 @@ class SweepRunner {
   struct Options {
     int jobs = 1;  // pool width; <= 0 selects hardware_concurrency()
 
-    // Soft per-job watchdog: when > 0, a job overdue at harvest time gets
-    // ONE speculative retry with a fresh decorrelated seed. The original
-    // run is never interrupted and wins if it completes OK, so the
-    // determinism contract only bends when the retry replaces a *failed*
-    // original. 0 disables (the default, and the contract-safe setting).
-    double job_timeout_ms = 0.0;
-
     // Crash-safe journal: when non-empty, every OK row is appended (and
     // flushed) to this JSONL file as it is harvested. With `resume`, rows
     // already present are restored instead of re-simulated; the journal
@@ -176,7 +170,8 @@ class SweepRunner {
 //    vertices=16384;threads=16;opcap=2000000;seed=1;full=0;
 //    link_ber=1e-12;vault_stall_ppm=50;poison_ppm=5;max_retries=3;
 //    retry_ns=8;num_cubes=1,2,4,8;topology=chain"
-// Keys may appear in any order; all are optional except workloads.
+// Keys may appear in any order, each at most once; all are optional
+// except workloads.
 // modes accepts baseline|upei|graphpim|ucnopim or "all" (the three
 // paper-evaluated machines). Structural keys shape the job matrix; every
 // other accepted key is a machine knob owned by SimConfig's field table

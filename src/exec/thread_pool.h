@@ -20,7 +20,6 @@
 #define GRAPHPIM_EXEC_THREAD_POOL_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -87,14 +86,6 @@ struct TaskCore {
     });
   }
 
-  // Bounded wait; true if the task settled within `ms`.
-  bool WaitFor(double ms) {
-    std::unique_lock<std::mutex> lk(mu);
-    return cv.wait_for(lk, std::chrono::duration<double, std::milli>(ms), [this] {
-      return state == TaskState::kDone || state == TaskState::kCancelled;
-    });
-  }
-
   TaskState State() {
     std::lock_guard<std::mutex> lk(mu);
     return state;
@@ -124,11 +115,6 @@ class TaskFuture {
 
   // Blocks until the task finished or was cancelled.
   void Wait() const { s_->core.Wait(); }
-
-  // Blocks at most `ms` milliseconds; true if the task settled. The sweep
-  // runner's soft watchdog uses this to detect overdue jobs without any
-  // ability (or need) to interrupt them.
-  bool WaitFor(double ms) const { return s_->core.WaitFor(ms); }
 
   // Blocks; the task's result, or std::nullopt if it was cancelled before
   // it ever ran. (void tasks yield `true` on completion.)

@@ -10,10 +10,10 @@
 // --metrics-out trace.
 //
 // Determinism contract: the sampler is driven only from deterministic
-// points of the replay loop (the sharded engine's round tail, where
-// quantum_end is identical at any --shards, and the sweep harvest, which
-// is grid-ordered at any --jobs), so a timeline is bit-identical across
-// reruns, --jobs and --shards. With `telemetry.window_ns=0` (the default)
+// points: the end of each replay-loop round, where quantum_end depends
+// only on simulated time, and the sweep harvest, which is grid-ordered at
+// any --jobs. A timeline is therefore bit-identical across reruns and
+// --jobs. With `telemetry.window_ns=0` (the default)
 // no sampler is ever constructed and every output byte matches a build
 // without this subsystem — the same off-is-identity discipline as
 // `trace.sample_rate` and `pmem.enable`.
@@ -67,8 +67,8 @@ using GaugeSampler = std::function<void(
     std::vector<std::pair<std::string, double>>* out)>;
 
 // Accumulates windows by diffing successive registry snapshots at window
-// boundaries. Not thread-safe: drive it from the orchestrating thread
-// (the engine's round tail), never from shard workers.
+// boundaries. Not thread-safe: drive it from the thread running the
+// replay loop.
 class WindowSampler {
  public:
   // `window_ticks` must be > 0. `max_windows` bounds the timeline

@@ -243,6 +243,34 @@ TEST(SweepGridSpec, RejectsMalformedAndOutOfRangeFields) {
   EXPECT_THROW({ ParseModeList(""); }, SimError);
 }
 
+TEST(SweepGridSpec, RejectsAKeyGivenTwice) {
+  // graphpim_sim appends machine-knob flags to --sweep's spec, so a key in
+  // both places arrives here twice: neither value may silently win.
+  auto expect_throw_naming = [](const std::string& spec, const char* named) {
+    try {
+      ParseGridSpec(spec);
+      ADD_FAILURE() << spec << " should not parse";
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find(named), std::string::npos)
+          << spec << " -> " << e.message();
+    }
+  };
+  expect_throw_naming("workloads=bfs;threads=8;threads=4", "'threads'");
+  expect_throw_naming("workloads=bfs;link_ber=1e-7;link_ber=1e-6",
+                      "'link_ber'");
+  expect_throw_naming("workloads=bfs;workloads=dc", "'workloads'");
+  // The cube axis counts as one key under all three spellings.
+  expect_throw_naming("workloads=bfs;num_cubes=1,2;hmc.num_cubes=4",
+                      "'num_cubes'");
+  // Two spellings of one knob with different values (FromConfig's check).
+  expect_throw_naming("workloads=bfs;link_ber=1e-7;link-ber=1e-6",
+                      "'link_ber'");
+  // The same value under both spellings is not a conflict.
+  const SweepGrid g =
+      ParseGridSpec("workloads=bfs;link_ber=1e-7;link-ber=1e-7");
+  EXPECT_DOUBLE_EQ(g.configs[0].hmc.fault.link_ber, 1e-7);
+}
+
 TEST(SweepGridSpec, FaultKeysApplyToEveryConfig) {
   SweepGrid g = ParseGridSpec(
       "workloads=bfs;modes=baseline,graphpim;link_ber=1e-9;"

@@ -453,28 +453,5 @@ TEST(Journal, ResumeRejectsForeignFingerprint) {
   std::remove(path.c_str());
 }
 
-// ------------------------------------------------------------- watchdog
-
-// With a sub-millisecond timeout every job is "overdue", so a retry is
-// spawned for each — but originals complete OK and must win, keeping the
-// result table bit-identical to an undisturbed run.
-TEST(SweepFault, WatchdogPrefersCompletedOriginals) {
-  exec::SweepRunner::Options plain;
-  plain.jobs = 2;
-  exec::SweepResultTable ref = exec::SweepRunner(plain).Run(SmallGrid());
-
-  exec::SweepRunner::Options wd = plain;
-  wd.job_timeout_ms = 0.01;
-  exec::SweepResultTable t = exec::SweepRunner(wd).Run(SmallGrid());
-  ASSERT_EQ(t.rows.size(), ref.rows.size());
-  for (std::size_t i = 0; i < t.rows.size(); ++i) {
-    EXPECT_EQ(t.rows[i].status, exec::JobStatus::kOk);
-    EXPECT_EQ(t.rows[i].seed, ref.rows[i].seed);  // original's seed kept
-    EXPECT_EQ(core::ToJson(t.rows[i].results), core::ToJson(ref.rows[i].results))
-        << "row " << i;
-  }
-  EXPECT_EQ(exec::ToDeterministicCsv(t), exec::ToDeterministicCsv(ref));
-}
-
 }  // namespace
 }  // namespace graphpim

@@ -1,7 +1,7 @@
 // HNSW index + workload tests (DESIGN.md §16): deterministic synthetic
 // vectors, bit-reproducible index builds, brute-force recall, the frozen
 // PMR layout, POU accounting of the visited-set/beam atomics, and the
-// jobs/shards identity of an ann sweep.
+// jobs identity of an ann sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -241,19 +241,6 @@ TEST(HnswSweep, AnnSweepIsJobsInvariant) {
   for (std::size_t i = 0; i < a.rows.size(); ++i) {
     EXPECT_EQ(RowFingerprint(a.rows[i]), RowFingerprint(b.rows[i])) << i;
     EXPECT_GT(a.rows[i].results.insts, 0u);
-  }
-}
-
-TEST(HnswSweep, AnnSweepIsShardsInvariant) {
-  const exec::SweepGrid one = exec::ParseGridSpec(
-      std::string(kAnnSpec) + ";sim.shards=1");
-  const exec::SweepGrid four = exec::ParseGridSpec(
-      std::string(kAnnSpec) + ";sim.shards=4");
-  const exec::SweepResultTable a = exec::SweepRunner().Run(one);
-  const exec::SweepResultTable b = exec::SweepRunner().Run(four);
-  ASSERT_EQ(a.rows.size(), b.rows.size());
-  for (std::size_t i = 0; i < a.rows.size(); ++i) {
-    EXPECT_EQ(RowFingerprint(a.rows[i]), RowFingerprint(b.rows[i])) << i;
   }
 }
 

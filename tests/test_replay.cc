@@ -1,88 +1,25 @@
-// Tests for the intra-run sharded replay engine and the tiled SoA trace
-// (DESIGN.md §15).
-//
-// The engine contract is byte-identity: `sim.shards` partitions cores
-// across ThreadPool workers behind a deterministic turn-token rendezvous,
-// so every observable output (report, JSON, counters) must match the
-// serial loop exactly at any shard count. These tests pin that contract on
-// the golden scenarios — including the persist domain and the flight
-// recorder, whose logs ride the same merge path — plus the tile-layout
-// edge cases the column-wise replay walk depends on.
-//
-// Everything here is named Replay* so CI's TSan job can select the
-// sharded runs (the one new cross-thread surface) with one filter.
+// Tests for the replay path (DESIGN.md §15): the tiled SoA trace and the
+// column-wise walk OooCore::Advance makes over it (tile-boundary barriers,
+// multi-tile rewrites, footprint accounting), the ThreadChunk split the
+// workloads use to hand vertices to trace streams, and the removal of the
+// turn-token sharded engine's knob.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/config.h"
 #include "common/log.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "cpu/core.h"
 #include "cpu/uop_stream.h"
+#include "exec/sweep.h"
 #include "workloads/trace.h"
 
 namespace graphpim {
 namespace {
-
-// Runs `exp` under `sc` at shards=1 and shards=4 and requires the full
-// JSON (every counter) and report to match byte for byte.
-void ExpectShardInvariant(const core::Experiment& exp, core::SimConfig sc,
-                          const std::string& label) {
-  sc.shards = 1;
-  const core::SimResults serial = exp.Run(sc);
-  sc.shards = 4;
-  const core::SimResults sharded = exp.Run(sc);
-  EXPECT_EQ(core::ToJson(serial), core::ToJson(sharded))
-      << label << ": --shards=4 JSON differs from serial";
-  EXPECT_EQ(core::FormatReport(serial), core::FormatReport(sharded))
-      << label << ": --shards=4 report differs from serial";
-}
-
-core::Experiment::Options SmallOptions(pmem::PersistMode persist) {
-  core::Experiment::Options eo;
-  eo.num_threads = 8;
-  eo.seed = 1;
-  eo.op_cap = 150'000;
-  eo.persist = persist;
-  return eo;
-}
-
-TEST(ReplayShardIdentity, BfsGoldenConfig) {
-  // The exact machine the tests/golden/ files pin (test_golden.cc), both
-  // modes: the sharded engine must reproduce the golden runs bit for bit.
-  core::Experiment exp("ldbc", 2048, "bfs", SmallOptions(pmem::PersistMode::kOff));
-  for (core::Mode m : {core::Mode::kBaseline, core::Mode::kGraphPim}) {
-    core::SimConfig sc = core::SimConfig::Scaled(m);
-    sc.num_cores = 8;
-    sc.hmc.enable_fp_atomics = true;
-    ExpectShardInvariant(exp, sc, std::string("bfs/") + core::ToString(m));
-  }
-}
-
-TEST(ReplayShardIdentity, GupWithPersistDomain) {
-  // pmem.enable=1: per-shard persist queues and the domain seal must merge
-  // in shard order, keeping the pmem.* counter family identical.
-  core::Experiment exp("ldbc", 1024, "gup", SmallOptions(pmem::PersistMode::kFull));
-  core::SimConfig sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
-  sc.num_cores = 8;
-  sc.pmem.enable = true;
-  ExpectShardInvariant(exp, sc, "gup/pmem");
-}
-
-TEST(ReplayShardIdentity, TmorphWithFlightRecorder) {
-  // trace.sample_rate > 0: span sampling decisions are drawn per-request
-  // from deterministic state, so the folded span.* statistics must not
-  // depend on the shard count either.
-  core::Experiment exp("ldbc", 1024, "tmorph",
-                       SmallOptions(pmem::PersistMode::kOff));
-  core::SimConfig sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
-  sc.num_cores = 8;
-  sc.trace_sample_rate = 0.05;
-  ExpectShardInvariant(exp, sc, "tmorph/spans");
-}
 
 TEST(ReplayThreadChunk, ZeroItems) {
   for (int t = 0; t < 4; ++t) {
@@ -293,30 +230,35 @@ TEST(ReplayTiles, TracePeakBytesSurfacesInResultsAndReport) {
   EXPECT_EQ(core::FormatReport(empty).find("trace: peak"), std::string::npos);
 }
 
-TEST(ReplayConfig, ShardsKnobRidesTheFieldTable) {
-  // Anti-drift: sim.shards must be a real KnobRow — present in
-  // ConfigKeys() under both spellings, rendered by Describe(), and
-  // range-checked by Validate() like every other knob.
-  const std::vector<std::string> keys = core::SimConfig::ConfigKeys();
-  auto has_key = [&](const char* k) {
-    for (const std::string& key : keys) {
-      if (key == k) return true;
-    }
-    return false;
-  };
-  EXPECT_TRUE(has_key("sim.shards"));
-  EXPECT_TRUE(has_key("shards"));
+TEST(ReplayConfig, ShardsKnobIsRemoved) {
+  // The sharded engine is gone: its knob must not linger in the field
+  // table or the machine line (which the sweep-journal fingerprint hashes),
+  // and old flags and grid specs that still set it fail loudly, naming the
+  // key, instead of being ignored.
+  for (const std::string& key : core::SimConfig::ConfigKeys()) {
+    EXPECT_NE(key, "sim.shards");
+    EXPECT_NE(key, "shards");
+  }
+  const std::string desc =
+      core::SimConfig::Scaled(core::Mode::kGraphPim).Describe();
+  EXPECT_EQ(desc.find("shards"), std::string::npos) << desc;
 
-  core::SimConfig sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
-  EXPECT_NE(sc.Describe().find("sim.shards="), std::string::npos)
-      << sc.Describe();
-
-  sc.shards = 4;
-  EXPECT_NO_THROW(sc.Validate());
-  sc.shards = 0;
-  EXPECT_THROW(sc.Validate(), SimError);
-  sc.shards = 257;
-  EXPECT_THROW(sc.Validate(), SimError);
+  try {
+    exec::ParseGridSpec("workloads=bfs;sim.shards=4");
+    ADD_FAILURE() << "grid spec accepted sim.shards";
+  } catch (const SimError& e) {
+    EXPECT_NE(e.message().find("'sim.shards'"), std::string::npos)
+        << e.message();
+  }
+  Config flags;
+  flags.Set("shards", "4");
+  try {
+    flags.RequireKeys(core::SimConfig::ConfigKeys());
+    ADD_FAILURE() << "machine-knob keys accepted --shards";
+  } catch (const SimError& e) {
+    EXPECT_NE(e.message().find("'--shards'"), std::string::npos)
+        << e.message();
+  }
 }
 
 }  // namespace

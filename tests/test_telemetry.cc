@@ -1,6 +1,6 @@
 // src/telemetry tests (DESIGN.md §17): WindowSampler boundary math, the
 // JSONL/Chrome-counter exporters, the sink-required config gate, windowed
-// end-to-end runs (delta conservation, rerun/shard determinism, strict
+// end-to-end runs (delta conservation, rerun determinism, strict
 // off-identity), serve per-window gauges, the journal timeline sidecar,
 // and the run-comparison engine behind tools/graphpim_compare.
 #include <gtest/gtest.h>
@@ -201,10 +201,9 @@ TEST(TelemetryConfig, KnobsParseRangeCheckAndCrossValidate) {
 // ---------------------------------------------------------------------------
 // End-to-end: windowed replay runs.
 
-core::SimConfig WindowedConfig(double window_ns, int shards = 1) {
+core::SimConfig WindowedConfig(double window_ns) {
   core::SimConfig sc = core::SimConfig::Scaled(core::Mode::kGraphPim);
   sc.num_cores = 4;
-  sc.shards = shards;
   sc.telemetry_window_ns = window_ns;
   return sc;
 }
@@ -247,19 +246,18 @@ TEST(TelemetryEndToEnd, WindowDeltasConserveRunTotals) {
   EXPECT_DOUBLE_EQ(atomics, static_cast<double>(r.atomics));
 }
 
-TEST(TelemetryEndToEnd, TimelineIsBitIdenticalAcrossRerunsAndShards) {
+TEST(TelemetryEndToEnd, TimelineIsBitIdenticalAcrossReruns) {
   const core::Experiment exp = TinyExperiment();
-  auto run = [&](int shards) {
+  auto run = [&]() {
     telemetry::Timeline tl;
     core::RunOptions ro;
     ro.timeline = &tl;
-    exp.Run(WindowedConfig(2000.0, shards), ro);
+    exp.Run(WindowedConfig(2000.0), ro);
     return telemetry::ToJsonl(tl);
   };
-  const std::string serial = run(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(serial, run(1));  // rerun
-  EXPECT_EQ(serial, run(4));  // sharded engine, same boundaries
+  const std::string first = run();
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(first, run());
 }
 
 TEST(TelemetryEndToEnd, OffIsIdentityAndLeavesTimelineUntouched) {

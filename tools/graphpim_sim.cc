@@ -12,8 +12,6 @@
 //                [--cube-page-bytes=4096]  # PMR interleave granularity
 //                [--fuse=0]           # Section III-B comparison-block fusion
 //                [--jobs=N]           # replay modes in parallel (0 = nproc)
-//                [--shards=N]         # intra-run parallel replay shards;
-//                                     # byte-identical output at any N
 //                [--progress=1]       # stderr heartbeat per retired mode
 //                [--json=out.json]    # machine-readable results (last mode)
 //                [--metrics-out=p.json]  # per-superstep phase deltas for the
@@ -32,26 +30,41 @@
 //                                           # windows are also merged into
 //                                           # --metrics-out as counter tracks
 //
-// Sweep mode (runs a whole job matrix instead of a single experiment; see
-// src/exec/sweep.h for the grid-spec syntax and determinism contract).
+// Sweep mode runs a whole workload x profile x machine-config job matrix
+// instead of a single experiment and prints a result table with speedups
+// against the first config. See src/exec/sweep.h for the grid-spec syntax
+// and the determinism contract (rows are bit-identical at any --jobs).
 // num_cubes accepts a comma list for cube-scaling sweeps
 // (--sweep='workloads=bfs;modes=graphpim;hmc.num_cubes=1,2,4,8'):
 //
 //   graphpim_sim --sweep='workloads=bfs,prank;modes=all;vertices=16384'
-//                [--jobs=N] [--json=out.json] [--csv=out.csv]
-//                [--journal=rows.jsonl] [--resume=0] [--timeout-ms=0]
+//                [--jobs=N]           # pool width (0 = nproc)
+//                [--progress=1]       # stderr heartbeat per retired job
+//                                     # with an ETA; off by default
+//                [--json=out.json] [--csv=out.csv] [--det-csv=out.csv]
+//                [--journal=rows.jsonl] [--resume=0]
 //                [--journal-phases=0]  # phase-delta sidecar lines in journal
 //
-// Fault injection (src/fault; DESIGN.md §9): single-run mode accepts
+// Machine-knob flags (--link-ber, --num-cubes, --pmem-enable, ...) apply to
+// every config of the grid, like the same keys inside the spec; giving a
+// knob both ways is an error. Single-run flags (--workload, --vertices,
+// --trace-out, ...) are rejected in sweep mode and sweep flags (--journal,
+// --det-csv, ...) in single-run mode. A job that fails yields a FAILED row
+// (exit 2); --journal streams finished rows to JSONL and --resume restores
+// them after a crash, bit-identical to an uninterrupted run. With a
+// journal, --trace-sample-rate and --telemetry-window-ns append per-row
+// {"spans_for":...} / {"timeline_for":...} sidecar lines (windows require
+// a journal).
+//
+// Fault injection (src/fault; DESIGN.md §9), in either mode:
 //   [--link-ber=1e-12] [--vault-stall-ppm=50] [--poison-ppm=5]
 //   [--max-retries=3] [--retry-ns=8]
-// and sweep mode takes the same knobs as grid-spec keys (link_ber=...).
 //
 // Persistent PMR (src/pmem; DESIGN.md §14): with --pmem-enable=1 the
-// persist-capable workloads (gup, tmorph) generate flush/fence discipline,
-// the persist-ordering checker runs over the trace, and single-run mode
-// additionally accepts
-//   [--pmem-flush-ns=40] [--pmem-fence-ns=20]
+// persist-capable workloads (gup, tmorph) generate flush/fence discipline
+// and pay [--pmem-flush-ns=40] [--pmem-fence-ns=20] in either mode. A
+// single run also runs the persist-ordering checker over the trace and
+// accepts
 //   [--pmem-crash-tick=NS]    # one crash/recovery evaluation at NS
 //   [--crash-sweep=N]         # N decorrelated crash/recovery cycles per
 //                             # mode; deterministic table at any --jobs
@@ -89,10 +102,17 @@ using namespace graphpim;
 namespace {
 
 int RunSweep(const Config& cfg) {
-  exec::SweepGrid grid = exec::ParseGridSpec(cfg.GetString("sweep", ""));
+  // Machine-knob flags apply to every config of the grid: they are appended
+  // to the spec, so ParseGridSpec and SimConfig::FromConfig parse and
+  // validate them exactly like spec keys (a key given both ways is an error).
+  std::string spec = cfg.GetString("sweep", "");
+  for (const std::string& k : core::SimConfig::ConfigKeys()) {
+    if (cfg.Has(k)) spec += ";" + k + "=" + cfg.GetString(k, "");
+  }
+  const exec::SweepGrid grid = exec::ParseGridSpec(spec);
+
   exec::SweepRunner::Options opts;
   opts.jobs = static_cast<int>(cfg.GetInt("jobs", 0));
-  opts.job_timeout_ms = cfg.GetDouble("timeout-ms", 0.0);
   opts.journal_path = cfg.GetString("journal", "");
   opts.resume = cfg.GetBool("resume", false);
   opts.journal_phases = cfg.GetBool("journal-phases", false);
@@ -103,36 +123,52 @@ int RunSweep(const Config& cfg) {
                            "sweep timelines are journal sidecar lines; pass "
                            "--journal=FILE");
   }
-  opts.on_progress = [](const exec::SweepProgress& p) {
-    std::printf("[%3zu/%3zu] %s/%s/%s  %.0f ms%s\n", p.completed, p.total,
-                p.workload.c_str(), p.profile.c_str(), p.config_name.c_str(),
-                p.wall_ms,
-                p.status == exec::JobStatus::kOk ? "" : "  FAILED");
-  };
-  std::printf("graphpim_sim sweep: %zu jobs (%zu cells x %zu configs)\n\n",
-              grid.NumJobs(), grid.NumCells(), grid.configs.size());
-  exec::SweepResultTable table = exec::SweepRunner(opts).Run(grid);
+  // Off by default so scripted runs stay quiet; on stderr so it never
+  // mixes with the result table on stdout.
+  if (cfg.GetBool("progress", false)) {
+    opts.on_progress = exec::StderrHeartbeat();
+  }
 
-  std::printf("\n%-8s %-8s %-10s %14s %10s %10s\n", "workload", "profile",
-              "config", "cycles", "IPC", "speedup");
+  std::printf("graphpim_sim sweep: %zu workloads x %zu profiles x %zu configs "
+              "= %zu jobs (--jobs=%d)\n\n",
+              grid.workloads.size(), grid.profiles.size(), grid.configs.size(),
+              grid.NumJobs(), opts.jobs);
+  const exec::SweepResultTable table = exec::SweepRunner(opts).Run(grid);
+
+  std::printf("%-8s %-8s %-10s %14s %8s %9s %9s %9s\n", "workload", "profile",
+              "config", "cycles", "IPC", "MPKI(L2)", "offload%", "speedup");
   for (const exec::SweepRow& r : table.rows) {
     if (r.status != exec::JobStatus::kOk) {
       std::printf("%-8s %-8s %-10s FAILED: %s\n", r.workload.c_str(),
                   r.profile.c_str(), r.config_name.c_str(), r.error.c_str());
       continue;
     }
-    std::printf("%-8s %-8s %-10s %14llu %10.4f %9.2fx\n", r.workload.c_str(),
-                r.profile.c_str(), r.config_name.c_str(),
-                static_cast<unsigned long long>(r.results.cycles), r.results.ipc,
+    const double offload_pct =
+        r.results.atomics == 0
+            ? 0.0
+            : 100.0 * static_cast<double>(r.results.offloaded_atomics) /
+                  static_cast<double>(r.results.atomics);
+    std::printf("%-8s %-8s %-10s %14llu %8.3f %9.2f %8.1f%% %8.2fx\n",
+                r.workload.c_str(), r.profile.c_str(), r.config_name.c_str(),
+                static_cast<unsigned long long>(r.results.cycles),
+                r.results.ipc, r.results.l2_mpki, offload_pct,
                 table.SpeedupVsFirstConfig(r));
   }
-  if (table.failed_rows > 0) {
-    std::printf("\n%zu of %zu rows FAILED\n", table.failed_rows,
-                table.rows.size());
+  std::printf("\nwall: %.0f ms total (build %.0f ms + run %.0f ms of work) | "
+              "job p50 %.0f ms  p95 %.0f ms  max %.0f ms\n",
+              table.total_wall_ms, table.build_wall_ms, table.run_wall_ms,
+              table.job_wall_ms.Percentile(50),
+              table.job_wall_ms.Percentile(95), table.job_wall_ms.max());
+  if (table.resumed_rows > 0) {
+    std::printf("resumed %zu of %zu rows from %s\n", table.resumed_rows,
+                table.rows.size(), opts.journal_path.c_str());
   }
-  std::printf("\nwall: %.0f ms total | job p50 %.0f ms p95 %.0f ms\n",
-              table.total_wall_ms, table.job_wall_ms.Percentile(50),
-              table.job_wall_ms.Percentile(95));
+  if (table.failed_rows > 0) {
+    std::printf("%zu of %zu rows FAILED (failed rows are not journaled; "
+                "--resume retries them)\n",
+                table.failed_rows, table.rows.size());
+  }
+
   if (cfg.Has("json")) {
     GP_CHECK(exec::WriteJson(table, cfg.GetString("json", "")),
              "cannot write JSON");
@@ -143,22 +179,34 @@ int RunSweep(const Config& cfg) {
              "cannot write CSV");
     std::printf("CSV written to %s\n", cfg.GetString("csv", "").c_str());
   }
+  if (cfg.Has("det-csv")) {
+    GP_CHECK(exec::WriteDeterministicCsv(table, cfg.GetString("det-csv", "")),
+             "cannot write CSV");
+    std::printf("deterministic CSV written to %s\n",
+                cfg.GetString("det-csv", "").c_str());
+  }
   return table.failed_rows > 0 ? 2 : 0;
 }
 
 int RunMain(const Config& cfg) {
-  // Driver-specific flags plus every machine knob SimConfig::FromConfig
-  // accepts (both spellings) — the flag surface tracks the field table.
-  std::vector<std::string> keys = {
-      "sweep",      "workload",  "profile",        "vertices",
-      "mode",       "seed",      "opcap",          "fuse",
-      "jobs",       "json",      "csv",            "metrics-out",
-      "trace-out",  "trace-in",  "journal",        "resume",
-      "timeout-ms", "journal-phases", "crash-sweep", "pmem-mutant",
-      "progress",   "timeline-out"};
+  // Each mode accepts its own flags plus every machine knob
+  // SimConfig::FromConfig accepts (both spellings), so the flag surface
+  // tracks the field table and a flag the chosen mode would not read is a
+  // SimError naming it instead of being silently dropped.
+  const bool sweep = cfg.Has("sweep");
+  std::vector<std::string> keys = {"jobs", "json", "progress"};
+  if (sweep) {
+    keys.insert(keys.end(), {"sweep", "csv", "det-csv", "journal", "resume",
+                             "journal-phases"});
+  } else {
+    keys.insert(keys.end(),
+                {"workload", "profile", "vertices", "mode", "seed", "opcap",
+                 "fuse", "metrics-out", "trace-out", "trace-in",
+                 "crash-sweep", "pmem-mutant", "timeline-out"});
+  }
   for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
   cfg.RequireKeys(keys);
-  if (cfg.Has("sweep")) return RunSweep(cfg);
+  if (sweep) return RunSweep(cfg);
   const std::string workload = cfg.GetString("workload", "bfs");
   const std::string profile = cfg.GetString("profile", "ldbc");
   const auto vertices = static_cast<VertexId>(cfg.GetUint("vertices", 32 * 1024));
