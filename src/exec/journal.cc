@@ -1,10 +1,10 @@
 #include "exec/journal.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <utility>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/string_util.h"
 
@@ -18,149 +18,6 @@ std::string D(double v) { return StrFormat("%.17g", v); }
 std::string U(std::uint64_t v) {
   return StrFormat("%llu", static_cast<unsigned long long>(v));
 }
-
-// ---------------------------------------------------------------------------
-// Minimal parser for the JSON subset this file emits: objects, arrays,
-// strings, numbers. Numbers keep their raw token so the consumer chooses
-// strtoull vs strtod (full 64-bit seeds must not round-trip through a
-// double). Any syntax outside the subset fails the line.
-
-struct JVal {
-  enum class Kind { kObj, kArr, kStr, kNum };
-  Kind kind = Kind::kNum;
-  std::vector<std::pair<std::string, JVal>> obj;
-  std::vector<JVal> arr;
-  std::string text;  // decoded string (kStr) or raw token (kNum)
-
-  const JVal* Get(const std::string& key) const {
-    for (const auto& [k, v] : obj) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-  double Num() const { return std::strtod(text.c_str(), nullptr); }
-  std::uint64_t U64() const { return std::strtoull(text.c_str(), nullptr, 10); }
-};
-
-class Parser {
- public:
-  explicit Parser(const std::string& s) : p_(s.c_str()), end_(p_ + s.size()) {}
-
-  // Whole-line parse: one value, then nothing but whitespace.
-  bool Parse(JVal* out) {
-    if (!ParseValue(out)) return false;
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  void SkipWs() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\r')) ++p_;
-  }
-
-  bool ParseValue(JVal* out) {
-    SkipWs();
-    if (p_ == end_) return false;
-    switch (*p_) {
-      case '{': return ParseObject(out);
-      case '[': return ParseArray(out);
-      case '"':
-        out->kind = JVal::Kind::kStr;
-        return ParseString(&out->text);
-      default: return ParseNumber(out);
-    }
-  }
-
-  bool ParseObject(JVal* out) {
-    out->kind = JVal::Kind::kObj;
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ != end_ && *p_ == '}') { ++p_; return true; }
-    while (true) {
-      SkipWs();
-      std::string key;
-      if (p_ == end_ || *p_ != '"' || !ParseString(&key)) return false;
-      SkipWs();
-      if (p_ == end_ || *p_ != ':') return false;
-      ++p_;
-      JVal v;
-      if (!ParseValue(&v)) return false;
-      out->obj.emplace_back(std::move(key), std::move(v));
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') { ++p_; continue; }
-      if (*p_ == '}') { ++p_; return true; }
-      return false;
-    }
-  }
-
-  bool ParseArray(JVal* out) {
-    out->kind = JVal::Kind::kArr;
-    ++p_;  // '['
-    SkipWs();
-    if (p_ != end_ && *p_ == ']') { ++p_; return true; }
-    while (true) {
-      JVal v;
-      if (!ParseValue(&v)) return false;
-      out->arr.push_back(std::move(v));
-      SkipWs();
-      if (p_ == end_) return false;
-      if (*p_ == ',') { ++p_; continue; }
-      if (*p_ == ']') { ++p_; return true; }
-      return false;
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++p_;  // '"'
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) return false;
-        switch (*p_) {
-          case '"': *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case '/': *out += '/'; break;
-          case 'n': *out += '\n'; break;
-          case 't': *out += '\t'; break;
-          case 'r': *out += '\r'; break;
-          case 'u': {
-            if (end_ - p_ < 5) return false;
-            char hex[5] = {p_[1], p_[2], p_[3], p_[4], '\0'};
-            char* hend = nullptr;
-            unsigned long cp = std::strtoul(hex, &hend, 16);
-            if (hend != hex + 4 || cp > 0xff) return false;  // we only emit 00XX
-            *out += static_cast<char>(cp);
-            p_ += 4;
-            break;
-          }
-          default: return false;
-        }
-        ++p_;
-      } else {
-        *out += *p_++;
-      }
-    }
-    if (p_ == end_) return false;
-    ++p_;  // closing '"'
-    return true;
-  }
-
-  bool ParseNumber(JVal* out) {
-    out->kind = JVal::Kind::kNum;
-    const char* start = p_;
-    while (p_ != end_ &&
-           (std::strchr("+-.0123456789eE", *p_) != nullptr)) {
-      ++p_;
-    }
-    if (p_ == start) return false;
-    out->text.assign(start, static_cast<std::size_t>(p_ - start));
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
 
 // ---------------------------------------------------------------------------
 // Row <-> line.
@@ -203,76 +60,6 @@ std::string ResultsToJson(const core::SimResults& r) {
   return s;
 }
 
-bool ResultsFromJson(const JVal& v, core::SimResults* r) {
-  if (v.kind != JVal::Kind::kObj) return false;
-  auto str = [&](const char* k, std::string* out) {
-    const JVal* f = v.Get(k);
-    if (f == nullptr || f->kind != JVal::Kind::kStr) return false;
-    *out = f->text;
-    return true;
-  };
-  auto u64 = [&](const char* k, std::uint64_t* out) {
-    const JVal* f = v.Get(k);
-    if (f == nullptr || f->kind != JVal::Kind::kNum) return false;
-    *out = f->U64();
-    return true;
-  };
-  auto dbl = [&](const char* k, double* out) {
-    const JVal* f = v.Get(k);
-    if (f == nullptr || f->kind != JVal::Kind::kNum) return false;
-    *out = f->Num();
-    return true;
-  };
-  if (!str("mode", &r->mode)) return false;
-  if (!u64("cycles", &r->cycles) || !u64("insts", &r->insts)) return false;
-  if (!dbl("seconds", &r->seconds) || !dbl("ipc", &r->ipc)) return false;
-  if (!dbl("l1", &r->l1_mpki) || !dbl("l2", &r->l2_mpki) ||
-      !dbl("l3", &r->l3_mpki)) {
-    return false;
-  }
-  if (!dbl("amr", &r->atomic_miss_rate)) return false;
-  if (!u64("atomics", &r->atomics) || !u64("offloaded", &r->offloaded_atomics))
-    return false;
-  if (!dbl("reqf", &r->req_flits) || !dbl("respf", &r->resp_flits)) return false;
-  if (!u64("crc", &r->link_crc_errors) || !u64("retries", &r->link_retries) ||
-      !dbl("retryf", &r->retry_flits) || !u64("poisoned", &r->poisoned_ops) ||
-      !u64("stalls", &r->vault_stalls)) {
-    return false;
-  }
-  const JVal* fr = v.Get("fractions");
-  if (fr == nullptr || fr->kind != JVal::Kind::kArr || fr->arr.size() != 8)
-    return false;
-  for (const JVal& e : fr->arr) {
-    if (e.kind != JVal::Kind::kNum) return false;
-  }
-  r->frac_atomic_incore = fr->arr[0].Num();
-  r->frac_atomic_incache = fr->arr[1].Num();
-  r->frac_atomic_dep = fr->arr[2].Num();
-  r->frac_other = fr->arr[3].Num();
-  r->frac_frontend = fr->arr[4].Num();
-  r->frac_badspec = fr->arr[5].Num();
-  r->frac_retiring = fr->arr[6].Num();
-  r->frac_backend = fr->arr[7].Num();
-  const JVal* en = v.Get("energy");
-  if (en == nullptr || en->kind != JVal::Kind::kArr || en->arr.size() != 5)
-    return false;
-  for (const JVal& e : en->arr) {
-    if (e.kind != JVal::Kind::kNum) return false;
-  }
-  r->energy.caches_j = en->arr[0].Num();
-  r->energy.link_j = en->arr[1].Num();
-  r->energy.fu_j = en->arr[2].Num();
-  r->energy.logic_j = en->arr[3].Num();
-  r->energy.dram_j = en->arr[4].Num();
-  const JVal* cnt = v.Get("counters");
-  if (cnt == nullptr || cnt->kind != JVal::Kind::kObj) return false;
-  for (const auto& [k, cv] : cnt->obj) {
-    if (cv.kind != JVal::Kind::kNum) return false;
-    r->raw.Set(k, cv.Num());
-  }
-  return true;
-}
-
 std::string RowToJson(const SweepRow& row) {
   std::string s = "{";
   s += "\"w\":" + U(row.workload_idx);
@@ -288,37 +75,91 @@ std::string RowToJson(const SweepRow& row) {
   return s;
 }
 
-bool RowFromJson(const std::string& line, SweepRow* row) {
-  JVal v;
-  Parser parser(line);
-  if (!parser.Parse(&v) || v.kind != JVal::Kind::kObj) return false;
-  const JVal* f = nullptr;
-  if ((f = v.Get("w")) == nullptr || f->kind != JVal::Kind::kNum) return false;
-  row->workload_idx = static_cast<std::size_t>(f->U64());
-  if ((f = v.Get("p")) == nullptr || f->kind != JVal::Kind::kNum) return false;
-  row->profile_idx = static_cast<std::size_t>(f->U64());
-  if ((f = v.Get("c")) == nullptr || f->kind != JVal::Kind::kNum) return false;
-  row->config_idx = static_cast<std::size_t>(f->U64());
-  if ((f = v.Get("workload")) == nullptr || f->kind != JVal::Kind::kStr)
-    return false;
-  row->workload = f->text;
-  if ((f = v.Get("profile")) == nullptr || f->kind != JVal::Kind::kStr)
-    return false;
-  row->profile = f->text;
-  if ((f = v.Get("config")) == nullptr || f->kind != JVal::Kind::kStr)
-    return false;
-  row->config_name = f->text;
-  if ((f = v.Get("seed")) == nullptr || f->kind != JVal::Kind::kNum)
-    return false;
-  row->seed = f->U64();
-  if ((f = v.Get("wall_ms")) == nullptr || f->kind != JVal::Kind::kNum)
-    return false;
-  row->wall_ms = f->Num();
-  if ((f = v.Get("r")) == nullptr || !ResultsFromJson(*f, &row->results))
-    return false;
-  row->status = JobStatus::kOk;
-  row->from_journal = true;
-  return true;
+// Typed field reads shared by the row and results readers. A missing
+// field, or a value of the wrong kind or range, throws SimError, and
+// LoadJournal drops the line.
+const json::Value& Field(const json::Value& obj, const char* key) {
+  const json::Value* f = obj.Find(key);
+  if (f == nullptr) GP_THROW("journal line lacks '", key, "'");
+  return *f;
+}
+
+std::string Str(const json::Value& obj, const char* key) {
+  const json::Value& f = Field(obj, key);
+  if (!f.is(json::Value::Kind::kString)) {
+    GP_THROW("journal field '", key, "' is not a string");
+  }
+  return f.text;
+}
+
+std::uint64_t U64(const json::Value& obj, const char* key) {
+  return Field(obj, key).U64();
+}
+
+double Dbl(const json::Value& obj, const char* key) {
+  return Field(obj, key).Double();
+}
+
+// Reads the fixed-length number array `key` into `outs`, in order.
+void Dbls(const json::Value& obj, const char* key,
+          std::initializer_list<double*> outs) {
+  const json::Value& a = Field(obj, key);
+  if (!a.is(json::Value::Kind::kArray) || a.items.size() != outs.size()) {
+    GP_THROW("journal field '", key, "' is not ", outs.size(), " numbers");
+  }
+  const json::Value* item = a.items.data();
+  for (double* out : outs) *out = (item++)->Double();
+}
+
+core::SimResults ResultsFromJson(const json::Value& v) {
+  core::SimResults r;
+  r.mode = Str(v, "mode");
+  r.cycles = U64(v, "cycles");
+  r.insts = U64(v, "insts");
+  r.seconds = Dbl(v, "seconds");
+  r.ipc = Dbl(v, "ipc");
+  r.l1_mpki = Dbl(v, "l1");
+  r.l2_mpki = Dbl(v, "l2");
+  r.l3_mpki = Dbl(v, "l3");
+  r.atomic_miss_rate = Dbl(v, "amr");
+  r.atomics = U64(v, "atomics");
+  r.offloaded_atomics = U64(v, "offloaded");
+  r.req_flits = Dbl(v, "reqf");
+  r.resp_flits = Dbl(v, "respf");
+  r.link_crc_errors = U64(v, "crc");
+  r.link_retries = U64(v, "retries");
+  r.retry_flits = Dbl(v, "retryf");
+  r.poisoned_ops = U64(v, "poisoned");
+  r.vault_stalls = U64(v, "stalls");
+  Dbls(v, "fractions",
+       {&r.frac_atomic_incore, &r.frac_atomic_incache, &r.frac_atomic_dep,
+        &r.frac_other, &r.frac_frontend, &r.frac_badspec, &r.frac_retiring,
+        &r.frac_backend});
+  Dbls(v, "energy",
+       {&r.energy.caches_j, &r.energy.link_j, &r.energy.fu_j,
+        &r.energy.logic_j, &r.energy.dram_j});
+  const json::Value& counters = Field(v, "counters");
+  if (!counters.is(json::Value::Kind::kObject)) {
+    GP_THROW("journal field 'counters' is not an object");
+  }
+  for (const auto& [k, c] : counters.members) r.raw.Set(k, c.Double());
+  return r;
+}
+
+SweepRow RowFromJson(const json::Value& v) {
+  SweepRow row;
+  row.workload_idx = static_cast<std::size_t>(U64(v, "w"));
+  row.profile_idx = static_cast<std::size_t>(U64(v, "p"));
+  row.config_idx = static_cast<std::size_t>(U64(v, "c"));
+  row.workload = Str(v, "workload");
+  row.profile = Str(v, "profile");
+  row.config_name = Str(v, "config");
+  row.seed = U64(v, "seed");
+  row.wall_ms = Dbl(v, "wall_ms");
+  row.results = ResultsFromJson(Field(v, "r"));
+  row.status = JobStatus::kOk;
+  row.from_journal = true;
+  return row;
 }
 
 }  // namespace
@@ -486,14 +327,9 @@ bool LoadJournal(const std::string& path, JournalData* out) {
     if (line.empty()) continue;
     if (first) {
       first = false;
-      JVal v;
-      Parser parser(line);
-      const JVal* fp = nullptr;
-      if (parser.Parse(&v) && v.kind == JVal::Kind::kObj &&
-          (fp = v.Get("fingerprint")) != nullptr &&
-          fp->kind == JVal::Kind::kStr) {
-        out->fingerprint = fp->text;
-      } else {
+      try {
+        out->fingerprint = Str(json::Parse(line), "fingerprint");
+      } catch (const SimError&) {
         ++out->dropped_lines;
       }
       continue;
@@ -504,10 +340,9 @@ bool LoadJournal(const std::string& path, JournalData* out) {
     if (line.compare(0, 14, "{\"phases_for\":") == 0) continue;
     if (line.compare(0, 13, "{\"spans_for\":") == 0) continue;
     if (line.compare(0, 16, "{\"timeline_for\":") == 0) continue;
-    SweepRow row;
-    if (RowFromJson(line, &row)) {
-      out->rows.push_back(std::move(row));
-    } else {
+    try {
+      out->rows.push_back(RowFromJson(json::Parse(line)));
+    } catch (const SimError&) {
       // Malformed or truncated (e.g. SIGKILL mid-write): the row will
       // simply be re-simulated.
       ++out->dropped_lines;

@@ -193,10 +193,18 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
                  "' was written for a different grid (fingerprint mismatch); "
                  "delete it or point --journal elsewhere to start fresh");
       }
+      // A row restores only into the cell it was simulated for: its names
+      // and seed must be the ones this grid gives its coordinates. Any
+      // other row (an edited or corrupted index) is re-simulated.
       for (SweepRow& r : jd.rows) {
         if (r.workload_idx >= grid.workloads.size() ||
             r.profile_idx >= grid.profiles.size() ||
-            r.config_idx >= num_configs) {
+            r.config_idx >= num_configs ||
+            r.workload != grid.workloads[r.workload_idx] ||
+            r.profile != grid.profiles[r.profile_idx] ||
+            r.config_name != grid.config_names[r.config_idx] ||
+            r.seed != DeriveCellSeed(grid.base_seed, r.workload_idx,
+                                     r.profile_idx)) {
           continue;
         }
         const std::size_t idx =

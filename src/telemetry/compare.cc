@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <string_view>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -13,236 +14,54 @@ namespace graphpim::telemetry {
 
 namespace {
 
-// Numeric and string leaves of one JSON document, in encounter order.
-struct Leaves {
-  std::vector<std::pair<std::string, double>> nums;
-  std::vector<std::pair<std::string, std::string>> strs;
-};
+using Values = std::vector<std::pair<std::string, double>>;
 
 std::string JoinKey(const std::string& prefix, const std::string& k) {
   return prefix.empty() ? k : prefix + "." + k;
 }
 
-// Minimal recursive-descent JSON reader: enough for the artifacts this
-// repo writes (reports, bench points, timelines, Chrome traces). Numbers
-// and booleans become numeric leaves, strings become string leaves, null
-// is dropped.
-class JsonParser {
- public:
-  JsonParser(const char* begin, const char* end) : begin_(begin), p_(begin), end_(end) {}
-
-  void ParseValue(const std::string& key, Leaves* out) {
-    SkipWs();
-    if (p_ == end_) Fail("a value");
-    switch (*p_) {
-      case '{':
-        ParseObject(key, out);
-        return;
-      case '[':
-        ParseArray(key, out);
-        return;
-      case '"':
-        out->strs.emplace_back(key, ParseString());
-        return;
-      case 't':
-        Expect("true");
-        out->nums.emplace_back(key, 1.0);
-        return;
-      case 'f':
-        Expect("false");
-        out->nums.emplace_back(key, 0.0);
-        return;
-      case 'n':
-        Expect("null");
-        return;
-      default:
-        out->nums.emplace_back(key, ParseNumber());
-        return;
-    }
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    return p_ == end_;
-  }
-
- private:
-  [[noreturn]] void Fail(const char* what) {
-    GP_THROW("malformed JSON at offset ", p_ - begin_, ": expected ", what);
-  }
-
-  void SkipWs() {
-    while (p_ < end_ &&
-           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  void Expect(const char* lit) {
-    for (const char* q = lit; *q != '\0'; ++q) {
-      if (p_ == end_ || *p_ != *q) Fail(lit);
-      ++p_;
-    }
-  }
-
-  void ParseObject(const std::string& key, Leaves* out) {
-    ++p_;  // '{'
-    SkipWs();
-    if (p_ < end_ && *p_ == '}') {
-      ++p_;
-      return;
-    }
-    while (true) {
-      SkipWs();
-      if (p_ == end_ || *p_ != '"') Fail("an object key");
-      const std::string k = ParseString();
-      SkipWs();
-      if (p_ == end_ || *p_ != ':') Fail("':'");
-      ++p_;
-      ParseValue(JoinKey(key, k), out);
-      SkipWs();
-      if (p_ == end_) Fail("',' or '}'");
-      if (*p_ == ',') {
-        ++p_;
-        continue;
+// Appends every numeric leaf under `key` in document order: numbers, and
+// booleans as 0/1. Strings identify rather than measure and null carries
+// nothing, so both are dropped. Recursion is bounded by json::kMaxDepth.
+void Flatten(const json::Value& v, const std::string& key, Values* out) {
+  switch (v.kind) {
+    case json::Value::Kind::kObject:
+      for (const auto& [k, m] : v.members) Flatten(m, JoinKey(key, k), out);
+      break;
+    case json::Value::Kind::kArray:
+      for (std::size_t i = 0; i < v.items.size(); ++i) {
+        Flatten(v.items[i], JoinKey(key, StrFormat("%zu", i)), out);
       }
-      if (*p_ == '}') {
-        ++p_;
-        return;
-      }
-      Fail("',' or '}'");
-    }
+      break;
+    case json::Value::Kind::kNumber:
+      out->emplace_back(key, v.Double());
+      break;
+    case json::Value::Kind::kBool:
+      out->emplace_back(key, v.boolean ? 1.0 : 0.0);
+      break;
+    case json::Value::Kind::kString:
+    case json::Value::Kind::kNull:
+      break;
   }
-
-  void ParseArray(const std::string& key, Leaves* out) {
-    ++p_;  // '['
-    SkipWs();
-    if (p_ < end_ && *p_ == ']') {
-      ++p_;
-      return;
-    }
-    std::size_t idx = 0;
-    while (true) {
-      ParseValue(JoinKey(key, StrFormat("%zu", idx)), out);
-      ++idx;
-      SkipWs();
-      if (p_ == end_) Fail("',' or ']'");
-      if (*p_ == ',') {
-        ++p_;
-        continue;
-      }
-      if (*p_ == ']') {
-        ++p_;
-        return;
-      }
-      Fail("',' or ']'");
-    }
-  }
-
-  std::string ParseString() {
-    ++p_;  // '"'
-    std::string s;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ != '\\') {
-        s += *p_++;
-        continue;
-      }
-      ++p_;
-      if (p_ == end_) Fail("an escape sequence");
-      switch (*p_) {
-        case '"': s += '"'; break;
-        case '\\': s += '\\'; break;
-        case '/': s += '/'; break;
-        case 'b': s += '\b'; break;
-        case 'f': s += '\f'; break;
-        case 'n': s += '\n'; break;
-        case 'r': s += '\r'; break;
-        case 't': s += '\t'; break;
-        case 'u': {
-          if (end_ - p_ < 5) Fail("four hex digits");
-          unsigned cp = 0;
-          for (int i = 1; i <= 4; ++i) {
-            const char c = p_[i];
-            cp <<= 4;
-            if (c >= '0' && c <= '9') cp |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f') cp |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F') cp |= static_cast<unsigned>(c - 'A' + 10);
-            else Fail("four hex digits");
-          }
-          p_ += 4;
-          // UTF-8 encode the code unit (surrogate pairs are not decoded;
-          // the repo's writers only emit \u00XX control escapes).
-          if (cp < 0x80) {
-            s += static_cast<char>(cp);
-          } else if (cp < 0x800) {
-            s += static_cast<char>(0xC0 | (cp >> 6));
-            s += static_cast<char>(0x80 | (cp & 0x3F));
-          } else {
-            s += static_cast<char>(0xE0 | (cp >> 12));
-            s += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            s += static_cast<char>(0x80 | (cp & 0x3F));
-          }
-          break;
-        }
-        default:
-          Fail("a valid escape");
-      }
-      ++p_;
-    }
-    if (p_ == end_) Fail("a closing '\"'");
-    ++p_;  // '"'
-    return s;
-  }
-
-  double ParseNumber() {
-    char* after = nullptr;
-    const double v = std::strtod(p_, &after);
-    if (after == p_) Fail("a number");
-    p_ = after;
-    return v;
-  }
-
-  const char* begin_;
-  const char* p_;
-  const char* end_;
-};
-
-Leaves ParseDocument(const char* begin, const char* end) {
-  JsonParser p(begin, end);
-  Leaves leaves;
-  p.ParseValue("", &leaves);
-  if (!p.AtEnd()) GP_THROW("malformed JSON: trailing content after document");
-  return leaves;
 }
 
-const std::string* FindStr(const Leaves& l, const char* key) {
-  for (const auto& [k, v] : l.strs) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-const double* FindNum(const Leaves& l, const char* key) {
-  for (const auto& [k, v] : l.nums) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
-// Identity prefix for one JSONL line: point / window / phase fields when
-// present ("point.<p>.window.<n>." for a pointed timeline), else a plain
-// line ordinal.
-std::string LinePrefix(const Leaves& l, std::size_t line_idx) {
+// Identity prefix for one JSONL line, read from its top-level members:
+// point / window / phase fields when present ("point.<p>.window.<n>." for
+// a pointed timeline), else a plain line ordinal.
+std::string LinePrefix(const json::Value& line, std::size_t line_idx) {
   std::string prefix;
-  if (const std::string* point = FindStr(l, "point")) {
-    prefix += "point." + *point + ".";
+  const json::Value* point = line.Find("point");
+  if (point != nullptr && point->is(json::Value::Kind::kString)) {
+    prefix += "point." + point->text + ".";
   }
-  if (const double* window = FindNum(l, "window")) {
-    prefix += StrFormat("window.%.0f.", *window);
+  const json::Value* window = line.Find("window");
+  if (window != nullptr && window->is(json::Value::Kind::kNumber)) {
+    prefix += StrFormat("window.%.0f.", window->Double());
   }
   if (prefix.empty()) {
-    if (const std::string* phase = FindStr(l, "phase")) {
-      prefix = "phase." + *phase + ".";
+    const json::Value* phase = line.Find("phase");
+    if (phase != nullptr && phase->is(json::Value::Kind::kString)) {
+      prefix = "phase." + phase->text + ".";
     } else {
       prefix = StrFormat("line.%zu.", line_idx);
     }
@@ -250,7 +69,7 @@ std::string LinePrefix(const Leaves& l, std::size_t line_idx) {
   return prefix;
 }
 
-FlatRun SortAndDedupe(std::vector<std::pair<std::string, double>> values) {
+FlatRun SortAndDedupe(Values values) {
   std::stable_sort(values.begin(), values.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
   FlatRun run;
@@ -274,47 +93,48 @@ const double* FlatRun::Find(const std::string& key) const {
 }
 
 FlatRun FlattenRunJson(const std::string& text) {
-  // Collect non-empty lines first: several parseable lines means JSONL
+  // Collect non-blank lines first: several parseable lines means JSONL
   // (timelines, phase logs, journals); otherwise the text is one JSON
   // document, possibly pretty-printed across lines.
-  std::vector<std::pair<const char*, const char*>> lines;
-  const char* p = text.data();
-  const char* end = text.data() + text.size();
-  while (p < end) {
-    const char* nl = p;
-    while (nl < end && *nl != '\n') ++nl;
-    const char* b = p;
-    const char* e = nl;
-    while (b < e && (*b == ' ' || *b == '\t' || *b == '\r')) ++b;
-    while (e > b && (e[-1] == ' ' || e[-1] == '\t' || e[-1] == '\r')) --e;
-    if (b < e) lines.emplace_back(b, e);
-    p = nl < end ? nl + 1 : end;
+  std::vector<std::string_view> lines;
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    const std::string_view line(text.data() + pos, nl - pos);
+    if (line.find_first_not_of(" \t\r") != std::string_view::npos) {
+      lines.push_back(line);
+    }
+    pos = nl + 1;
   }
   if (lines.empty()) GP_THROW("empty run artifact: nothing to compare");
 
   if (lines.size() > 1) {
-    bool jsonl = true;
-    std::vector<Leaves> parsed;
+    std::vector<json::Value> parsed;
     parsed.reserve(lines.size());
     try {
-      for (const auto& [b, e] : lines) parsed.push_back(ParseDocument(b, e));
+      for (const std::string_view line : lines) {
+        parsed.push_back(json::Parse(line));
+      }
     } catch (const SimError&) {
-      jsonl = false;  // pretty-printed single document
+      parsed.clear();  // pretty-printed single document
     }
-    if (jsonl) {
-      std::vector<std::pair<std::string, double>> values;
+    if (!parsed.empty()) {
+      Values values;
       for (std::size_t i = 0; i < parsed.size(); ++i) {
+        const std::size_t begin = values.size();
+        Flatten(parsed[i], "", &values);
         const std::string prefix = LinePrefix(parsed[i], i);
-        for (auto& [k, v] : parsed[i].nums) {
-          values.emplace_back(prefix + k, v);
+        for (std::size_t j = begin; j < values.size(); ++j) {
+          values[j].first.insert(0, prefix);
         }
       }
       return SortAndDedupe(std::move(values));
     }
   }
 
-  Leaves leaves = ParseDocument(text.data(), end);
-  return SortAndDedupe(std::move(leaves.nums));
+  Values values;
+  Flatten(json::Parse(text), "", &values);
+  return SortAndDedupe(std::move(values));
 }
 
 DriftReport CompareRuns(const FlatRun& base, const FlatRun& head,

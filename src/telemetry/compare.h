@@ -28,8 +28,10 @@ struct FlatRun {
   const double* Find(const std::string& key) const;
 };
 
-// Parses `text` (JSON document or JSONL) into a FlatRun. Throws SimError
-// on malformed input; duplicate keys keep the first occurrence.
+// Parses `text` (JSON document or JSONL) into a FlatRun. Input must be
+// strict JSON (RFC 8259, read through common/json.h): anything else,
+// non-JSON numbers such as 0x10, inf or +1 included, throws SimError.
+// Duplicate keys keep the first occurrence.
 FlatRun FlattenRunJson(const std::string& text);
 
 struct CompareOptions {

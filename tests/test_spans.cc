@@ -4,12 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/span.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -20,123 +20,6 @@
 
 namespace graphpim {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal strict JSON validator (objects, arrays, strings, numbers, bools,
-// null). The exporters promise strict-JSON output; this parser accepts
-// nothing looser, so a stray trailing comma or bare token fails the test.
-
-class StrictJson {
- public:
-  static bool Valid(const std::string& s) {
-    StrictJson p(s);
-    if (!p.Value()) return false;
-    p.Ws();
-    return p.p_ == p.end_;
-  }
-
- private:
-  explicit StrictJson(const std::string& s)
-      : p_(s.c_str()), end_(p_ + s.size()) {}
-
-  void Ws() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
-      ++p_;
-  }
-  bool Lit(const char* lit) {
-    const std::size_t n = std::strlen(lit);
-    if (static_cast<std::size_t>(end_ - p_) < n) return false;
-    if (std::strncmp(p_, lit, n) != 0) return false;
-    p_ += n;
-    return true;
-  }
-  bool Value() {
-    Ws();
-    if (p_ == end_) return false;
-    switch (*p_) {
-      case '{': return Object();
-      case '[': return Array();
-      case '"': return String();
-      case 't': return Lit("true");
-      case 'f': return Lit("false");
-      case 'n': return Lit("null");
-      default: return Number();
-    }
-  }
-  bool Object() {
-    ++p_;
-    Ws();
-    if (p_ != end_ && *p_ == '}') { ++p_; return true; }
-    while (true) {
-      Ws();
-      if (p_ == end_ || *p_ != '"' || !String()) return false;
-      Ws();
-      if (p_ == end_ || *p_ != ':') return false;
-      ++p_;
-      if (!Value()) return false;
-      Ws();
-      if (p_ == end_) return false;
-      if (*p_ == ',') { ++p_; continue; }
-      if (*p_ == '}') { ++p_; return true; }
-      return false;
-    }
-  }
-  bool Array() {
-    ++p_;
-    Ws();
-    if (p_ != end_ && *p_ == ']') { ++p_; return true; }
-    while (true) {
-      if (!Value()) return false;
-      Ws();
-      if (p_ == end_) return false;
-      if (*p_ == ',') { ++p_; continue; }
-      if (*p_ == ']') { ++p_; return true; }
-      return false;
-    }
-  }
-  bool String() {
-    ++p_;
-    while (p_ != end_ && *p_ != '"') {
-      if (*p_ == '\\') {
-        ++p_;
-        if (p_ == end_) return false;
-        if (std::strchr("\"\\/nrtbfu", *p_) == nullptr) return false;
-        if (*p_ == 'u') {
-          if (end_ - p_ < 5) return false;
-          p_ += 4;
-        }
-      }
-      ++p_;
-    }
-    if (p_ == end_) return false;
-    ++p_;
-    return true;
-  }
-  bool Number() {
-    const char* start = p_;
-    if (p_ != end_ && *p_ == '-') ++p_;
-    bool digits = false;
-    while (p_ != end_ && *p_ >= '0' && *p_ <= '9') { ++p_; digits = true; }
-    if (!digits) return false;
-    if (p_ != end_ && *p_ == '.') {
-      ++p_;
-      digits = false;
-      while (p_ != end_ && *p_ >= '0' && *p_ <= '9') { ++p_; digits = true; }
-      if (!digits) return false;
-    }
-    if (p_ != end_ && (*p_ == 'e' || *p_ == 'E')) {
-      ++p_;
-      if (p_ != end_ && (*p_ == '+' || *p_ == '-')) ++p_;
-      digits = false;
-      while (p_ != end_ && *p_ >= '0' && *p_ <= '9') { ++p_; digits = true; }
-      if (!digits) return false;
-    }
-    return start != p_;
-  }
-
-  const char* p_;
-  const char* end_;
-};
 
 // ---------------------------------------------------------------------------
 // Sampling.
@@ -234,7 +117,7 @@ TEST(SpanExport, JsonlLinesAreStrictJson) {
   std::size_t lines = 0;
   while (std::getline(in, line)) {
     ++lines;
-    EXPECT_TRUE(StrictJson::Valid(line)) << line;
+    EXPECT_NO_THROW(json::Parse(line)) << line;
   }
   EXPECT_EQ(lines, 2u);
   EXPECT_NE(jsonl.find("\"kind\":\"A\""), std::string::npos);
@@ -248,7 +131,7 @@ TEST(SpanExport, ChromeTraceWithSpansIsStrictJson) {
   phases.Cut("superstep.0", 0, NsToTicks(40), reg);
   const trace::SpanLog spans = SmallLog();
   const std::string chrome = trace::ToChromeTrace(phases, &spans);
-  EXPECT_TRUE(StrictJson::Valid(chrome)) << chrome;
+  EXPECT_NO_THROW(json::Parse(chrome)) << chrome;
   // Span tracks ride their own pids next to the phase track.
   EXPECT_NE(chrome.find("\"name\":\"cores\""), std::string::npos);
   EXPECT_NE(chrome.find("\"name\":\"vaults\""), std::string::npos);
@@ -262,7 +145,7 @@ TEST(SpanExport, EmptyChromeTraceIsValidAndExact) {
   trace::PhaseLog empty;
   const std::string chrome = trace::ToChromeTrace(empty);
   EXPECT_EQ(chrome, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}\n");
-  EXPECT_TRUE(StrictJson::Valid(chrome));
+  EXPECT_NO_THROW(json::Parse(chrome));
   // And the same through the file writer.
   const std::string path = ::testing::TempDir() + "/gp_empty_trace.json";
   trace::WriteTrace(empty, path);
@@ -278,7 +161,7 @@ TEST(SpanExport, NonEmptyPhaseOnlyTraceIsStrictJson) {
   StatRegistry reg;
   reg.Add("core.insts", 10.0);
   phases.Cut("superstep.0", 0, NsToTicks(10), reg);
-  EXPECT_TRUE(StrictJson::Valid(trace::ToChromeTrace(phases)));
+  EXPECT_NO_THROW(json::Parse(trace::ToChromeTrace(phases)));
 }
 
 TEST(SpanStats, FoldProducesPerStageAndAtomicFamilies) {
@@ -424,7 +307,7 @@ std::string SpanSidecars(const std::string& path) {
   std::string line, out;
   while (std::getline(in, line)) {
     if (line.rfind("{\"spans_for\":", 0) == 0) {
-      EXPECT_TRUE(StrictJson::Valid(line)) << line;
+      EXPECT_NO_THROW(json::Parse(line)) << line;
       out += line;
       out += '\n';
     }

@@ -17,6 +17,8 @@
 // keys with --fail-on-missing), 1 = usage or I/O error. The argv parsing
 // is by hand: this tool compares artifacts from ANY build, so it must not
 // depend on the simulator's config machinery evolving in lockstep.
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,12 +53,24 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-// strtod with full-token validation; false on trailing garbage.
+// strtod with full-token validation; false on trailing garbage and on
+// inf/nan, which would turn a tolerance check into a pass or a fail for
+// every key.
 bool ParseDouble(const std::string& s, double* out) {
   if (s.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
+  return end == s.c_str() + s.size() && std::isfinite(*out);
+}
+
+// A non-negative decimal integer; false on anything else or on overflow.
+bool ParseCount(const std::string& s, std::size_t* out) {
+  if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos) {
+    return false;
+  }
+  errno = 0;
+  *out = std::strtoull(s.c_str(), nullptr, 10);
+  return errno != ERANGE;
 }
 
 std::vector<std::string> SplitCommas(const std::string& s) {
@@ -116,12 +130,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--fail-on-missing") {
       opts.fail_on_missing = true;
     } else if (arg.rfind("--max-rows=", 0) == 0) {
-      double v = 0.0;
-      if (!ParseDouble(value_of("--max-rows="), &v) || v < 0.0) {
+      if (!ParseCount(value_of("--max-rows="), &max_rows)) {
         std::fprintf(stderr, "graphpim_compare: bad --max-rows value\n");
         return 1;
       }
-      max_rows = static_cast<std::size_t>(v);
     } else if (arg == "--help" || arg == "-h") {
       std::fputs(kUsage, stdout);
       return 0;
