@@ -132,8 +132,8 @@ class Experiment {
   Addr pmr_end() const { return space_->pmr_end(); }
 
  private:
-  void Build(const graph::EdgeList& el, const std::string& workload_name,
-             const Options& opts);
+  // Creates the workload and runs it over graph_ to capture trace_.
+  void GenerateTrace(const std::string& workload_name, const Options& opts);
 
   std::unique_ptr<graph::AddressSpace> space_;
   std::unique_ptr<graph::CsrGraph> graph_;

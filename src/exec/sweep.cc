@@ -15,6 +15,7 @@
 #include "exec/journal.h"
 #include "exec/thread_pool.h"
 #include "fault/fault.h"
+#include "graph/generator.h"
 
 namespace graphpim::exec {
 
@@ -478,8 +479,12 @@ SweepGrid ParseGridSpec(const std::string& spec) {
     } else if (key == "modes") {
       modes = ParseModeList(val);
     } else if (key == "vertices") {
-      grid.vertices = static_cast<VertexId>(ParseGridUint(key, val));
-      if (grid.vertices == 0) GP_THROW("grid spec key 'vertices' must be > 0");
+      const std::uint64_t v = ParseGridUint(key, val);
+      if (v < graph::kMinRmatVertices || v > graph::kMaxRmatVertices) {
+        GP_THROW("grid spec key 'vertices' must be in [", graph::kMinRmatVertices,
+                 ", ", graph::kMaxRmatVertices, "], got '", val, "'");
+      }
+      grid.vertices = static_cast<VertexId>(v);
     } else if (key == "threads") {
       grid.sim_threads = static_cast<int>(ParseGridUint(key, val));
       if (grid.sim_threads < 1) GP_THROW("grid spec key 'threads' must be >= 1");

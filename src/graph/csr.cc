@@ -1,74 +1,141 @@
 #include "graph/csr.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
+#include <utility>
 
 #include "common/log.h"
 
 namespace graphpim::graph {
 
+namespace {
+
+// Widest radix digit: one pass's 2^11 counters stay in L1 while it
+// scatters.
+constexpr unsigned kMaxDigitBits = 11;
+
+// Sorts keys[0, len) by their low `key_bits` bits with stable LSD counting
+// passes, ping-ponging through `tmp` (at least `len` long), and returns
+// the buffer that ends up holding the sorted keys. The digit is no wider
+// than bit_width(len), so a block of a few edges pays for a few counters
+// per pass rather than 2^11. A pass whose digit is the same in every key
+// is skipped.
+std::uint64_t* SortKeys(std::uint64_t* keys, std::uint64_t* tmp, std::size_t len,
+                        unsigned key_bits) {
+  if (len < 2) return keys;
+  const unsigned widest =
+      std::min(kMaxDigitBits, static_cast<unsigned>(std::bit_width(len)));
+  const unsigned passes = (key_bits + widest - 1) / widest;
+  const unsigned digit_bits = (key_bits + passes - 1) / passes;
+  const std::uint64_t mask = (std::uint64_t{1} << digit_bits) - 1;
+  std::vector<std::size_t> count(mask + 1);
+  for (unsigned shift = 0; shift < key_bits; shift += digit_bits) {
+    std::fill(count.begin(), count.end(), 0);
+    for (std::size_t i = 0; i < len; ++i) ++count[(keys[i] >> shift) & mask];
+    if (count[(keys[0] >> shift) & mask] == len) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : count) sum += std::exchange(c, sum);
+    for (std::size_t i = 0; i < len; ++i) {
+      tmp[count[(keys[i] >> shift) & mask]++] = keys[i];
+    }
+    std::swap(keys, tmp);
+  }
+  return keys;
+}
+
+}  // namespace
+
+// The build orders every source's edges by (dst, weight) without a
+// per-source sort or a packed copy of the edges:
+//   1. Count edges by source into the offsets.
+//   2. Partition the edges by source block (2^lbits consecutive sources)
+//      straight into neighbors_/weights_. A block cursor array is small
+//      enough to stay cached, unlike one cursor per source. The source's
+//      low lbits ride in the neighbor slot above the dst bits.
+//   3. Per block, sort 64-bit (low, dst, weight) keys with LSD counting
+//      passes in two block-sized buffers reused across blocks; an ldbc
+//      block's buffers fit in L2.
+//   4. Write the keys back, dropping parallel edges when asked, and
+//      rewrite the block's offsets.
+// Blocks are in source order and `low` orders the sources inside a block,
+// so the result is exactly a per-source sort by (dst, weight).
 CsrGraph::CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup)
     : num_vertices_(el.num_vertices) {
   GP_CHECK(num_vertices_ > 0, "empty graph");
+  const std::size_t n = num_vertices_;
 
-  // Counting sort by source.
-  offsets_.assign(static_cast<std::size_t>(num_vertices_) + 1, 0);
+  offsets_.assign(n + 1, 0);
+  std::uint32_t weight_bits = 0;  // OR of all weights: same bit width as the max
   for (const Edge& e : el.edges) {
     GP_CHECK(e.src < num_vertices_ && e.dst < num_vertices_, "edge endpoint out of range");
     ++offsets_[e.src + 1];
+    weight_bits |= e.weight;
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
 
-  // Scatter each edge as one packed (dst << 32 | weight) word: with both
-  // halves 32-bit, unsigned 64-bit comparison is exactly the
-  // (dst, weight) lexicographic order the old pair sort used, so sorting
-  // the packed words yields the identical adjacency sequence while moving
-  // half the bytes and skipping the per-vertex scratch copies.
-  std::vector<std::uint64_t> packed(el.edges.size());
-  std::vector<EdgeId> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : el.edges) {
-    packed[cursor[e.src]++] =
-        (static_cast<std::uint64_t>(e.dst) << 32) | e.weight;
-  }
-  for (VertexId v = 0; v < num_vertices_; ++v) {
-    if (offsets_[v + 1] - offsets_[v] > 1) {
-      std::sort(packed.begin() + offsets_[v], packed.begin() + offsets_[v + 1]);
-    }
-  }
+  // The slot (low << dbits | dst) must fit a VertexId, so the key
+  // (slot << wbits | weight) always fits 64 bits; ten low bits make
+  // 1024-source blocks.
+  const auto dbits = static_cast<unsigned>(std::bit_width(num_vertices_ - 1));
+  const auto wbits = static_cast<unsigned>(std::bit_width(weight_bits));
+  const unsigned lbits = std::min(10u, 32 - dbits);
+  const std::size_t num_blocks = ((n - 1) >> lbits) + 1;
 
-  // Unpack (deduplicating by destination when asked) straight into the
-  // final arrays through raw pointers: the arrays are sized up front so the
-  // hot loop carries no capacity checks.
-  neighbors_.resize(packed.size());
-  weights_.resize(packed.size());
+  std::vector<EdgeId> cursor(num_blocks);
+  for (std::size_t b = 0; b < num_blocks; ++b) cursor[b] = offsets_[b << lbits];
+  neighbors_.resize(el.edges.size());
+  weights_.resize(el.edges.size());
   VertexId* np = neighbors_.data();
   std::uint32_t* wp = weights_.data();
-  std::size_t n = 0;
-  if (dedup) {
-    std::vector<EdgeId> new_offsets(offsets_.size(), 0);
-    for (VertexId v = 0; v < num_vertices_; ++v) {
-      EdgeId b = offsets_[v];
-      EdgeId e = offsets_[v + 1];
-      for (EdgeId i = b; i < e; ++i) {
-        // Within a sorted range, duplicate destinations are adjacent in the
-        // packed words themselves.
-        if (i > b && (packed[i] >> 32) == (packed[i - 1] >> 32)) continue;
-        np[n] = static_cast<VertexId>(packed[i] >> 32);
-        wp[n] = static_cast<std::uint32_t>(packed[i]);
-        ++n;
-      }
-      new_offsets[v + 1] = static_cast<EdgeId>(n);
-    }
-    offsets_ = std::move(new_offsets);
-    neighbors_.resize(n);
-    weights_.resize(n);
-  } else {
-    for (std::uint64_t p : packed) {
-      np[n] = static_cast<VertexId>(p >> 32);
-      wp[n] = static_cast<std::uint32_t>(p);
-      ++n;
-    }
+  const VertexId low_mask = (VertexId{1} << lbits) - 1;
+  for (const Edge& e : el.edges) {
+    const EdgeId at = cursor[e.src >> lbits]++;
+    // 64-bit shift: dbits is 32 (and the low bits empty) past 2^31 vertices.
+    np[at] = static_cast<VertexId>(std::uint64_t{e.src & low_mask} << dbits) | e.dst;
+    wp[at] = e.weight;
   }
+
+  const unsigned key_bits = lbits + dbits + wbits;
+  const std::uint64_t dst_mask = (std::uint64_t{1} << dbits) - 1;
+  const std::uint64_t weight_mask = (std::uint64_t{1} << wbits) - 1;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> tmp;
+  std::vector<EdgeId> kept(std::size_t{low_mask} + 1);  // edges written per source
+  EdgeId begin = 0;  // the block's first edge before dedup
+  EdgeId out = 0;    // the next edge written
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    const std::size_t v0 = b << lbits;
+    const std::size_t v1 = std::min(v0 + low_mask + 1, n);
+    const EdgeId end = offsets_[v1];
+    const std::size_t len = end - begin;
+    if (keys.size() < len) {
+      keys.resize(len);
+      tmp.resize(len);
+    }
+    for (std::size_t i = 0; i < len; ++i) {
+      keys[i] = (std::uint64_t{np[begin + i]} << wbits) | wp[begin + i];
+    }
+    const std::uint64_t* sorted = SortKeys(keys.data(), tmp.data(), len, key_bits);
+    // Parallel edges are adjacent with the smallest weight first, and dedup
+    // keeps that one. Writes never pass the block's reads and the block is
+    // already in the key buffer, so compacting in place is safe.
+    for (std::size_t i = 0; i < len; ++i) {
+      const std::uint64_t slot = sorted[i] >> wbits;
+      if (dedup && i > 0 && slot == sorted[i - 1] >> wbits) continue;
+      np[out] = static_cast<VertexId>(slot & dst_mask);
+      wp[out] = static_cast<std::uint32_t>(sorted[i] & weight_mask);
+      ++out;
+      ++kept[slot >> dbits];
+    }
+    // offsets_[v0] is already final, and offsets_[v1] was read above.
+    for (std::size_t v = v0; v < v1; ++v) {
+      offsets_[v + 1] = offsets_[v] + std::exchange(kept[v - v0], 0);
+    }
+    begin = end;
+  }
+  neighbors_.resize(out);
+  weights_.resize(out);
 
   offsets_addr_ = space.structure().Allocate(offsets_.size() * sizeof(EdgeId));
   neighbors_addr_ = space.structure().Allocate(neighbors_.size() * sizeof(VertexId));

@@ -18,8 +18,9 @@ namespace graphpim::graph {
 
 class CsrGraph {
  public:
-  // Builds the CSR from an edge list; neighbor lists are sorted by
-  // destination. `dedup` removes parallel edges (keeping the first weight).
+  // Builds the CSR from an edge list; each neighbor list is sorted by
+  // (destination, weight). `dedup` removes parallel edges, keeping the
+  // smallest weight of each group.
   CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup = false);
 
   VertexId num_vertices() const { return num_vertices_; }

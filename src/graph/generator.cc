@@ -9,11 +9,6 @@ namespace graphpim::graph {
 
 namespace {
 
-VertexId RoundUpPow2(VertexId v) {
-  if (v <= 1) return 1;
-  return static_cast<VertexId>(std::bit_ceil(static_cast<std::uint32_t>(v)));
-}
-
 // Smallest m with m * 2^-53 >= t — i.e. the integer-domain image of the
 // draw threshold. NextDouble() is exactly (Next() >> 11) * 2^-53 (the
 // scaling is a power of two, so it never rounds), which makes
@@ -95,10 +90,14 @@ void DrawRmatEdges(EdgeList& el, Rng& rng, std::uint64_t target,
 }  // namespace
 
 EdgeList GenerateRmat(const RmatParams& params) {
-  GP_CHECK(params.num_vertices > 0);
+  if (params.num_vertices < kMinRmatVertices ||
+      params.num_vertices > kMaxRmatVertices) {
+    GP_THROW("vertices=", params.num_vertices, " is outside the RMAT generator's range [",
+             kMinRmatVertices, ", ", kMaxRmatVertices, "]");
+  }
   GP_CHECK(params.a + params.b + params.c < 1.0, "RMAT probabilities must sum < 1");
   EdgeList el;
-  el.num_vertices = RoundUpPow2(params.num_vertices);
+  el.num_vertices = std::bit_ceil(params.num_vertices);
   std::uint32_t scale = static_cast<std::uint32_t>(std::countr_zero(el.num_vertices));
   std::uint64_t target = static_cast<std::uint64_t>(
       params.avg_degree * static_cast<double>(el.num_vertices) + 0.5);

@@ -32,8 +32,16 @@ struct RmatParams {
   double max_degree_factor = 16.0;
 };
 
+// Vertex counts GenerateRmat accepts. One vertex has only self-loops,
+// which the generator drops, so it would never reach its edge count; past
+// 2^31 the count has no 32-bit power of two to round up to.
+inline constexpr VertexId kMinRmatVertices = 2;
+inline constexpr VertexId kMaxRmatVertices = VertexId{1} << 31;
+
 // Generates a directed RMAT graph (self-loops removed, duplicates kept —
 // real social graphs have parallel interactions; CSR build can dedup).
+// Throws SimError naming `vertices` when the count is outside
+// [kMinRmatVertices, kMaxRmatVertices].
 EdgeList GenerateRmat(const RmatParams& params);
 
 // Uniform Erdos-Renyi-style random graph (used by tests as a contrast).

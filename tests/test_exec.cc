@@ -271,6 +271,23 @@ TEST(SweepGridSpec, RejectsAKeyGivenTwice) {
   EXPECT_DOUBLE_EQ(g.configs[0].hmc.fault.link_ber, 1e-7);
 }
 
+TEST(SweepGridSpec, RejectsVertexCountsTheGeneratorCannotBuild) {
+  // 4294967297 used to wrap to one vertex, whose RMAT draw never ends.
+  for (const char* v : {"0", "1", "2147483649", "4294967297"}) {
+    const std::string spec = std::string("workloads=bfs;vertices=") + v;
+    try {
+      ParseGridSpec(spec);
+      ADD_FAILURE() << spec << " should not parse";
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find("'vertices'"), std::string::npos)
+          << spec << " -> " << e.message();
+    }
+  }
+  EXPECT_EQ(ParseGridSpec("workloads=bfs;vertices=2").vertices, 2u);
+  EXPECT_EQ(ParseGridSpec("workloads=bfs;vertices=2147483648").vertices,
+            2147483648u);
+}
+
 TEST(SweepGridSpec, FaultKeysApplyToEveryConfig) {
   SweepGrid g = ParseGridSpec(
       "workloads=bfs;modes=baseline,graphpim;link_ber=1e-9;"

@@ -3,7 +3,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <vector>
 
+#include "common/log.h"
+#include "common/random.h"
 #include "graph/csr.h"
 #include "graph/edge_list.h"
 #include "graph/generator.h"
@@ -145,6 +151,21 @@ TEST(Generator, LdbcNames) {
   EXPECT_EQ(LdbcSizeFromName("ldbc-1m"), 1024u * 1024);
 }
 
+TEST(Generator, RejectsVertexCountsItCannotBuild) {
+  // One vertex has only self-loops, which the draw loop drops forever;
+  // past 2^31 no 32-bit power of two is left to round up to.
+  for (const VertexId n :
+       {0u, 1u, (1u << 31) + 1, std::numeric_limits<VertexId>::max()}) {
+    try {
+      GenerateProfile("ldbc", n, 1);
+      ADD_FAILURE() << n << " vertices should not generate";
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find("vertices"), std::string::npos) << e.message();
+    }
+  }
+  EXPECT_EQ(GenerateProfile("ldbc", 2, 1).num_vertices, 2u);
+}
+
 TEST(Csr, BuildsOffsetsAndSortedNeighbors) {
   EdgeList el;
   el.num_vertices = 4;
@@ -175,6 +196,165 @@ TEST(Csr, DedupKeepsFirstWeight) {
   CsrGraph g(el, space, /*dedup=*/true);
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.OutDegree(0), 2u);
+  EXPECT_EQ(g.Weights(0)[0], 7u);
+
+  // "First" in sorted order: the smallest weight wins, whatever the input
+  // order.
+  el.edges = {{0, 1, 9}, {0, 1, 7}, {0, 2, 1}};
+  AddressSpace space2;
+  CsrGraph r(el, space2, /*dedup=*/true);
+  ASSERT_EQ(r.OutDegree(0), 2u);
+  EXPECT_EQ(r.Neighbors(0)[0], 1u);
+  EXPECT_EQ(r.Weights(0)[0], 7u);
+}
+
+// The CSR build must reproduce the per-source sort it replaced, byte for
+// byte: scatter the edges by source, then sort each source's
+// (dst << 32 | weight) words; dedup keeps the first word of each
+// destination. The reference frees its cursor array early and rewrites
+// its offsets in place so the 2^24-vertex case stays near two offset
+// arrays.
+struct ReferenceCsr {
+  std::vector<EdgeId> offsets;
+  std::vector<VertexId> neighbors;
+  std::vector<std::uint32_t> weights;
+};
+
+ReferenceCsr BuildReferenceCsr(const EdgeList& el, bool dedup) {
+  const std::size_t n = el.num_vertices;
+  ReferenceCsr r;
+  r.offsets.assign(n + 1, 0);
+  for (const Edge& e : el.edges) ++r.offsets[e.src + 1];
+  std::partial_sum(r.offsets.begin(), r.offsets.end(), r.offsets.begin());
+  std::vector<std::uint64_t> packed(el.edges.size());
+  {
+    std::vector<EdgeId> cursor(r.offsets.begin(), r.offsets.end() - 1);
+    for (const Edge& e : el.edges) {
+      packed[cursor[e.src]++] = (std::uint64_t{e.dst} << 32) | e.weight;
+    }
+  }
+  EdgeId begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const EdgeId end = r.offsets[v + 1];
+    std::sort(packed.begin() + begin, packed.begin() + end);
+    for (EdgeId i = begin; i < end; ++i) {
+      if (dedup && i > begin && (packed[i] >> 32) == (packed[i - 1] >> 32)) continue;
+      r.neighbors.push_back(static_cast<VertexId>(packed[i] >> 32));
+      r.weights.push_back(static_cast<std::uint32_t>(packed[i]));
+    }
+    r.offsets[v + 1] = r.neighbors.size();
+    begin = end;
+  }
+  return r;
+}
+
+// Builds the CSR with and without dedup and checks offsets, neighbors and
+// weights against the reference.
+void ExpectMatchesReference(const EdgeList& el) {
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "dedup" : "no dedup");
+    const ReferenceCsr ref = BuildReferenceCsr(el, dedup);
+    AddressSpace space;
+    const CsrGraph g(el, space, dedup);
+    ASSERT_EQ(g.num_vertices(), el.num_vertices);
+    ASSERT_EQ(g.num_edges(), ref.neighbors.size());
+    std::size_t bad_offsets = 0;
+    std::vector<VertexId> neighbors;
+    std::vector<std::uint32_t> weights;
+    neighbors.reserve(g.num_edges());
+    weights.reserve(g.num_edges());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      bad_offsets += g.OffsetOf(v) != ref.offsets[v];
+      const auto nb = g.Neighbors(v);
+      const auto wt = g.Weights(v);
+      neighbors.insert(neighbors.end(), nb.begin(), nb.end());
+      weights.insert(weights.end(), wt.begin(), wt.end());
+    }
+    EXPECT_EQ(bad_offsets, 0u);
+    // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print the arrays.
+    EXPECT_TRUE(neighbors == ref.neighbors);
+    EXPECT_TRUE(weights == ref.weights);
+  }
+}
+
+// `count` random edges on `n` vertices: sources below `src_limit`,
+// destinations below `dst_limit`, weights drawn by `weight`.
+template <typename WeightFn>
+EdgeList RandomEdges(VertexId n, std::size_t count, std::uint64_t seed,
+                     VertexId src_limit, VertexId dst_limit, WeightFn weight) {
+  Rng rng(seed);
+  EdgeList el;
+  el.num_vertices = n;
+  el.edges.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto src = static_cast<VertexId>(rng.NextBounded(src_limit));
+    const auto dst = static_cast<VertexId>(rng.NextBounded(dst_limit));
+    el.edges.push_back(Edge{src, dst, weight(rng)});
+  }
+  return el;
+}
+
+std::uint32_t AnyU32(Rng& rng) { return static_cast<std::uint32_t>(rng.Next()); }
+
+TEST(CsrReference, WeightsAcrossTheU32Range) {
+  EdgeList el = RandomEdges(3000, 60000, 11, 3000, 3000, AnyU32);
+  // The extremes, on a parallel pair so dedup must order them.
+  el.edges.push_back({5, 9, std::numeric_limits<std::uint32_t>::max()});
+  el.edges.push_back({5, 9, 0});
+  el.edges.push_back({5, 9, 1u << 31});
+  ExpectMatchesReference(el);
+}
+
+TEST(CsrReference, DuplicateHeavyEdges) {
+  // 40 sources x 8 destinations: most edges are parallel, some repeat the
+  // weight too.
+  ExpectMatchesReference(RandomEdges(64, 20000, 12, 40, 8, [](Rng& rng) {
+    return static_cast<std::uint32_t>(1 + rng.NextBounded(50));
+  }));
+}
+
+TEST(CsrReference, StarSource) {
+  // One source holds 100k edges, so its block outgrows every other block.
+  EdgeList el = RandomEdges(5000, 100000, 13, 1, 5000, [](Rng& rng) {
+    return static_cast<std::uint32_t>(1 + rng.NextBounded(16));
+  });
+  for (Edge& e : el.edges) e.src = 1234;
+  const EdgeList rest = RandomEdges(5000, 20000, 14, 5000, 5000, AnyU32);
+  el.edges.insert(el.edges.end(), rest.edges.begin(), rest.edges.end());
+  ExpectMatchesReference(el);
+}
+
+TEST(CsrReference, OneVertexWithOnlySelfLoops) {
+  EdgeList el;
+  el.num_vertices = 1;
+  el.edges = {{0, 0, 5}, {0, 0, 2}, {0, 0, 5}, {0, 0, 0}, {0, 0, 4000000000u}};
+  ExpectMatchesReference(el);
+}
+
+TEST(CsrReference, NoEdges) {
+  EdgeList el;
+  el.num_vertices = 7;
+  ExpectMatchesReference(el);
+}
+
+TEST(CsrReference, WideVertexIdsAndWeights) {
+  // 24 dst bits leave 8 low source bits in the neighbor slot, and the
+  // 32 weight bits fill the rest of the 64-bit key.
+  constexpr VertexId kVertices = (1u << 24) - 1;
+  EdgeList el = RandomEdges(kVertices, 50000, 15, kVertices, kVertices, AnyU32);
+  el.edges.push_back({kVertices - 1, kVertices - 1, 7});
+  el.edges.push_back({kVertices - 1, kVertices - 1, 3});
+  el.edges.push_back({0, kVertices - 1, std::numeric_limits<std::uint32_t>::max()});
+  ExpectMatchesReference(el);
+}
+
+TEST(CsrReference, GeneratorProfiles) {
+  for (const char* profile : {"ldbc", "bitcoin", "twitter"}) {
+    for (const VertexId n : {1024u, 3000u, 65536u}) {
+      SCOPED_TRACE(std::string(profile) + " " + std::to_string(n));
+      ExpectMatchesReference(GenerateProfile(profile, n, 3));
+    }
+  }
 }
 
 TEST(Csr, StructureAddressesInStructureSegment) {

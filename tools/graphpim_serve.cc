@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,7 +89,11 @@ int Run(const Config& cfg) {
   // changes what the graph must host) ----------------------------------
   serve::ServedGraph::Options go;
   go.profile = cfg.GetString("profile", "ldbc");
-  go.num_vertices = static_cast<VertexId>(cfg.GetUint("vertices", 4096));
+  const std::uint64_t vertices = cfg.GetUint("vertices", 4096);
+  if (vertices > std::numeric_limits<VertexId>::max()) {
+    GP_THROW("--vertices=", vertices, " does not fit a 32-bit vertex id");
+  }
+  go.num_vertices = static_cast<VertexId>(vertices);
   go.num_tenants = static_cast<std::uint32_t>(cfg.GetUint("tenants", 2));
   go.seed = cfg.GetUint("seed", 1);
 

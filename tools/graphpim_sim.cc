@@ -75,6 +75,7 @@
 #include <exception>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -209,7 +210,11 @@ int RunMain(const Config& cfg) {
   if (sweep) return RunSweep(cfg);
   const std::string workload = cfg.GetString("workload", "bfs");
   const std::string profile = cfg.GetString("profile", "ldbc");
-  const auto vertices = static_cast<VertexId>(cfg.GetUint("vertices", 32 * 1024));
+  const std::uint64_t vertices_arg = cfg.GetUint("vertices", 32 * 1024);
+  if (vertices_arg > std::numeric_limits<VertexId>::max()) {
+    GP_THROW("--vertices=", vertices_arg, " does not fit a 32-bit vertex id");
+  }
+  const auto vertices = static_cast<VertexId>(vertices_arg);
   const std::string mode_arg = cfg.GetString("mode", "all");
 
   core::Experiment::Options opts;
