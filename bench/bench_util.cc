@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "exec/sweep.h"
+
 namespace graphpim::bench {
 
 BenchContext ParseBench(int argc, char** argv, VertexId default_vertices,
@@ -16,7 +18,7 @@ BenchContext ParseBench(int argc, char** argv, VertexId default_vertices,
   ctx.threads = static_cast<int>(ctx.cfg.GetInt("threads", 16));
   ctx.seed = ctx.cfg.GetUint("seed", 1);
   ctx.profile = ctx.cfg.GetString("profile", "ldbc");
-  ctx.jobs = static_cast<int>(ctx.cfg.GetInt("jobs", 0));
+  ctx.jobs = exec::ParseJobs(ctx.cfg);
   return ctx;
 }
 
@@ -37,14 +39,14 @@ std::vector<core::SimResults> RunGrid(const core::Experiment& exp,
     for (const core::SimConfig& cfg : cfgs) out.push_back(exp.Run(cfg));
     return out;
   }
-  std::vector<exec::TaskFuture<core::SimResults>> futs;
+  std::vector<std::future<core::SimResults>> futs;
   futs.reserve(cfgs.size());
   for (const core::SimConfig& cfg : cfgs) {
     futs.push_back(pool.Submit([&exp, cfg] { return exp.Run(cfg); }));
   }
   std::vector<core::SimResults> out;
   out.reserve(cfgs.size());
-  for (auto& f : futs) out.push_back(*f.Get());
+  for (auto& f : futs) out.push_back(f.get());
   return out;
 }
 

@@ -7,11 +7,13 @@
 //   --threads=N     worker threads (== cores simulated)
 //   --seed=N        generator seed
 //   --jobs=N        host threads replaying configs in parallel
-//                   (0 = hardware concurrency; results are identical for
-//                   any N — see src/exec determinism contract)
+//                   (0 = hardware concurrency, negative = error; results
+//                   are identical for any N — see src/exec determinism
+//                   contract)
 #ifndef GRAPHPIM_BENCH_BENCH_UTIL_H_
 #define GRAPHPIM_BENCH_BENCH_UTIL_H_
 
+#include <future>
 #include <memory>
 #include <string>
 #include <vector>
@@ -75,14 +77,14 @@ auto ParallelMap(const std::vector<Item>& items, const BenchContext& ctx, F fn)
     -> std::vector<std::invoke_result_t<F&, const Item&>> {
   using R = std::invoke_result_t<F&, const Item&>;
   exec::ThreadPool& pool = ctx.Pool();
-  std::vector<exec::TaskFuture<R>> futs;
+  std::vector<std::future<R>> futs;
   futs.reserve(items.size());
   for (const Item& item : items) {
     futs.push_back(pool.Submit([&fn, &item] { return fn(item); }));
   }
   std::vector<R> out;
   out.reserve(items.size());
-  for (auto& f : futs) out.push_back(std::move(*f.Get()));
+  for (auto& f : futs) out.push_back(f.get());
   return out;
 }
 

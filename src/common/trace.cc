@@ -1,9 +1,8 @@
 #include "common/trace.h"
 
 #include <cmath>
-#include <fstream>
 
-#include "common/log.h"
+#include "common/file_util.h"
 #include "common/string_util.h"
 
 namespace graphpim::trace {
@@ -120,26 +119,17 @@ std::string ToJsonl(const PhaseLog& log) {
 }
 
 void WriteTrace(const PhaseLog& log, const std::string& path,
-                const SpanLog* spans) {
-  TraceExtras extras;
-  extras.spans = spans;
-  WriteTrace(log, path, extras);
-}
-
-void WriteTrace(const PhaseLog& log, const std::string& path,
                 const TraceExtras& extras) {
   const bool jsonl =
       path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0;
-  std::ofstream f(path, std::ios::binary);
-  if (!f) GP_THROW("cannot open metrics output file '", path, "'");
-  if (jsonl) {
-    f << ToJsonl(log);
-    if (extras.spans != nullptr) f << SpansToJsonl(*extras.spans);
-    f << extras.jsonl_lines;
-  } else {
-    f << ToChromeTrace(log, extras);
+  if (!jsonl) {
+    WriteWholeFile(path, ToChromeTrace(log, extras));
+    return;
   }
-  if (!f) GP_THROW("failed writing metrics output file '", path, "'");
+  std::string out = ToJsonl(log);
+  if (extras.spans != nullptr) out += SpansToJsonl(*extras.spans);
+  out += extras.jsonl_lines;
+  WriteWholeFile(path, out);
 }
 
 }  // namespace graphpim::trace

@@ -76,13 +76,11 @@ std::string ToChromeTrace(const PhaseLog& log, const TraceExtras& extras);
 std::string ToJsonl(const PhaseLog& log);
 
 // Writes the log to `path`; ".jsonl" extension selects JSONL, anything
-// else Chrome trace. Non-null `spans` are merged into the Chrome trace or
-// appended as span lines after the phase lines in JSONL. Throws SimError
+// else Chrome trace. The extras are merged into the Chrome trace, or
+// appended after the phase lines in JSONL. Throws SimError naming the path
 // on I/O failure.
 void WriteTrace(const PhaseLog& log, const std::string& path,
-                const SpanLog* spans = nullptr);
-void WriteTrace(const PhaseLog& log, const std::string& path,
-                const TraceExtras& extras);
+                const TraceExtras& extras = {});
 
 // Formats a counter value the way trace/journal output expects: integral
 // values without a fraction, others with shortest round-trip-ish "%.6g".

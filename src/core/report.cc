@@ -1,7 +1,6 @@
 #include "core/report.h"
 
-#include <cstdio>
-
+#include "common/file_util.h"
 #include "common/span.h"
 #include "common/string_util.h"
 
@@ -206,13 +205,8 @@ std::string ToJson(const SimResults& r) {
   return out;
 }
 
-bool WriteJson(const SimResults& r, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::string json = ToJson(r);
-  bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  return ok;
+void WriteJson(const SimResults& r, const std::string& path) {
+  WriteWholeFile(path, ToJson(r));
 }
 
 }  // namespace graphpim::core

@@ -24,8 +24,8 @@ std::string FormatBottleneckTable(const std::vector<SimResults>& results);
 // (stable key names; suitable for downstream tooling).
 std::string ToJson(const SimResults& r);
 
-// Writes ToJson() to `path`; returns false on I/O failure.
-bool WriteJson(const SimResults& r, const std::string& path);
+// Writes ToJson() to `path`; throws SimError naming the path on I/O failure.
+void WriteJson(const SimResults& r, const std::string& path);
 
 }  // namespace graphpim::core
 

@@ -70,8 +70,8 @@ struct RunOptions {
 //
 // The replay runs on the calling thread: one loosely-synchronized quantum
 // loop advances the cores in index order against the shared memory system
-// and starts no threads. Independent runs parallelize across a ThreadPool
-// (graphpim_sim --jobs, sweeps), since each call owns all of its state.
+// and starts no threads. Independent runs (--jobs, sweeps, serve grids) go
+// in parallel on an exec::ThreadPool, since each call owns all its state.
 SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                          Addr pmr_base, Addr pmr_end, const RunOptions& opts);
 

@@ -1,5 +1,7 @@
 #include "exec/journal.h"
 
+#include <cerrno>
+#include <cstring>
 #include <fstream>
 #include <initializer_list>
 #include <utility>
@@ -17,6 +19,15 @@ namespace {
 std::string D(double v) { return StrFormat("%.17g", v); }
 std::string U(std::uint64_t v) {
   return StrFormat("%llu", static_cast<unsigned long long>(v));
+}
+
+// Opens a sidecar line keyed by the row's grid coordinates:
+// {"<kind>_for":{"w":W,"p":P,"c":C},"<list>":[
+std::string SidecarHead(const std::string& kind, const SweepRow& row,
+                        const std::string& list) {
+  return "{\"" + kind + "_for\":{\"w\":" + U(row.workload_idx) +
+         ",\"p\":" + U(row.profile_idx) + ",\"c\":" + U(row.config_idx) +
+         "},\"" + list + "\":[";
 }
 
 // ---------------------------------------------------------------------------
@@ -217,20 +228,25 @@ void JournalWriter::Open(const std::string& path,
   if (f_ == nullptr) {
     GP_THROW("cannot open sweep journal '", path, "' for append");
   }
-  if (torn_tail) std::fputc('\n', f_);
+  path_ = path;
+  if (torn_tail) Write("\n");
   if (std::ftell(f_) == 0) {
-    std::string hdr = "{\"graphpim_sweep_journal\":1,\"fingerprint\":\"" +
-                      JsonEscape(fingerprint) + "\"}\n";
-    std::fwrite(hdr.data(), 1, hdr.size(), f_);
-    std::fflush(f_);
+    Write("{\"graphpim_sweep_journal\":1,\"fingerprint\":\"" +
+          JsonEscape(fingerprint) + "\"}\n");
+  }
+}
+
+void JournalWriter::Write(const std::string& s) {
+  if (std::fwrite(s.data(), 1, s.size(), f_) != s.size() ||
+      std::fflush(f_) != 0) {
+    GP_THROW("cannot write sweep journal '", path_, "': ",
+             std::strerror(errno));
   }
 }
 
 void JournalWriter::Append(const SweepRow& row) {
   if (f_ == nullptr) return;
-  std::string line = RowToJson(row) + "\n";
-  std::fwrite(line.data(), 1, line.size(), f_);
-  std::fflush(f_);
+  Write(RowToJson(row) + "\n");
 }
 
 void JournalWriter::AppendPhases(const SweepRow& row,
@@ -239,11 +255,7 @@ void JournalWriter::AppendPhases(const SweepRow& row,
   // Sidecar line, keyed by the row's grid coordinates. LoadJournal skips
   // these by prefix without counting them as dropped, so a phase-annotated
   // journal resumes exactly like a plain one.
-  std::string s = "{\"phases_for\":{";
-  s += "\"w\":" + U(row.workload_idx);
-  s += ",\"p\":" + U(row.profile_idx);
-  s += ",\"c\":" + U(row.config_idx);
-  s += "},\"phases\":[";
+  std::string s = SidecarHead("phases", row, "phases");
   bool first = true;
   for (const trace::PhaseRecord& ph : log.phases()) {
     if (!first) s += ',';
@@ -260,8 +272,7 @@ void JournalWriter::AppendPhases(const SweepRow& row,
     s += "}}";
   }
   s += "]}\n";
-  std::fwrite(s.data(), 1, s.size(), f_);
-  std::fflush(f_);
+  Write(s);
 }
 
 void JournalWriter::AppendSpans(const SweepRow& row,
@@ -269,11 +280,7 @@ void JournalWriter::AppendSpans(const SweepRow& row,
   if (f_ == nullptr || log.empty()) return;
   // Same sidecar convention as AppendPhases: keyed by grid coordinates,
   // skipped by prefix on load.
-  std::string s = "{\"spans_for\":{";
-  s += "\"w\":" + U(row.workload_idx);
-  s += ",\"p\":" + U(row.profile_idx);
-  s += ",\"c\":" + U(row.config_idx);
-  s += "},\"spans\":[";
+  std::string s = SidecarHead("spans", row, "spans");
   bool first = true;
   for (const trace::SpanRecord& sp : log.spans) {
     if (!first) s += ',';
@@ -281,8 +288,7 @@ void JournalWriter::AppendSpans(const SweepRow& row,
     s += trace::SpanToJson(sp);
   }
   s += "]}\n";
-  std::fwrite(s.data(), 1, s.size(), f_);
-  std::fflush(f_);
+  Write(s);
 }
 
 void JournalWriter::AppendTimeline(const SweepRow& row,
@@ -291,11 +297,7 @@ void JournalWriter::AppendTimeline(const SweepRow& row,
   // Same sidecar convention as AppendPhases: keyed by grid coordinates,
   // skipped by prefix on load. Window bodies reuse the telemetry JSONL
   // renderer so the sidecar and --timeline-out formats stay in lockstep.
-  std::string s = "{\"timeline_for\":{";
-  s += "\"w\":" + U(row.workload_idx);
-  s += ",\"p\":" + U(row.profile_idx);
-  s += ",\"c\":" + U(row.config_idx);
-  s += "},\"windows\":[";
+  std::string s = SidecarHead("timeline", row, "windows");
   const std::string lines = telemetry::ToJsonl(tl);
   bool first = true;
   for (std::size_t pos = 0; pos < lines.size();) {
@@ -307,14 +309,14 @@ void JournalWriter::AppendTimeline(const SweepRow& row,
     pos = nl + 1;
   }
   s += "]}\n";
-  std::fwrite(s.data(), 1, s.size(), f_);
-  std::fflush(f_);
+  Write(s);
 }
 
 void JournalWriter::Close() {
-  if (f_ != nullptr) {
-    std::fclose(f_);
-    f_ = nullptr;
+  std::FILE* f = std::exchange(f_, nullptr);
+  if (f != nullptr && std::fclose(f) != 0) {
+    GP_THROW("cannot close sweep journal '", path_, "': ",
+             std::strerror(errno));
   }
 }
 

@@ -32,10 +32,12 @@ namespace graphpim::exec {
 // coordinates would mean different experiments.
 std::string GridFingerprint(const SweepGrid& grid);
 
+// Every write is checked: a failed fwrite, fflush or fclose throws
+// SimError naming the journal, so a full disk cannot lose rows silently.
 class JournalWriter {
  public:
   JournalWriter() = default;
-  ~JournalWriter() { Close(); }
+  ~JournalWriter() { if (f_ != nullptr) std::fclose(f_); }
 
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
@@ -69,7 +71,11 @@ class JournalWriter {
   void Close();
 
  private:
+  // Appends `s` and flushes it.
+  void Write(const std::string& s);
+
   std::FILE* f_ = nullptr;
+  std::string path_;
 };
 
 struct JournalData {

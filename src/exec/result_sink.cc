@@ -1,7 +1,6 @@
 #include "exec/result_sink.h"
 
-#include <cstdio>
-
+#include "common/file_util.h"
 #include "common/string_util.h"
 #include "core/report.h"
 
@@ -47,15 +46,6 @@ std::string CsvBody(const SweepResultTable& t, bool with_timing) {
     out += "\n";
   }
   return out;
-}
-
-bool WriteFile(const std::string& content, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(content.data(), 1, content.size(), f) == content.size();
-  std::fclose(f);
-  return ok;
 }
 
 }  // namespace
@@ -106,16 +96,16 @@ std::string ToDeterministicCsv(const SweepResultTable& t) {
   return CsvBody(t, false);
 }
 
-bool WriteJson(const SweepResultTable& t, const std::string& path) {
-  return WriteFile(ToJson(t), path);
+void WriteJson(const SweepResultTable& t, const std::string& path) {
+  WriteWholeFile(path, ToJson(t));
 }
 
-bool WriteCsv(const SweepResultTable& t, const std::string& path) {
-  return WriteFile(ToCsv(t), path);
+void WriteCsv(const SweepResultTable& t, const std::string& path) {
+  WriteWholeFile(path, ToCsv(t));
 }
 
-bool WriteDeterministicCsv(const SweepResultTable& t, const std::string& path) {
-  return WriteFile(ToDeterministicCsv(t), path);
+void WriteDeterministicCsv(const SweepResultTable& t, const std::string& path) {
+  WriteWholeFile(path, ToDeterministicCsv(t));
 }
 
 }  // namespace graphpim::exec

@@ -27,9 +27,11 @@ std::string ToCsv(const SweepResultTable& table);
 // compared across job counts.
 std::string ToDeterministicCsv(const SweepResultTable& table);
 
-bool WriteJson(const SweepResultTable& table, const std::string& path);
-bool WriteCsv(const SweepResultTable& table, const std::string& path);
-bool WriteDeterministicCsv(const SweepResultTable& table, const std::string& path);
+// File forms of the three serializations; each throws SimError naming the
+// path on I/O failure.
+void WriteJson(const SweepResultTable& table, const std::string& path);
+void WriteCsv(const SweepResultTable& table, const std::string& path);
+void WriteDeterministicCsv(const SweepResultTable& table, const std::string& path);
 
 }  // namespace graphpim::exec
 

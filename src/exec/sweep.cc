@@ -1,8 +1,10 @@
 #include "exec/sweep.h"
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
+#include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -222,18 +224,6 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
   JournalWriter writer;
   if (!opts_.journal_path.empty()) writer.Open(opts_.journal_path, fingerprint);
 
-  ThreadPool pool(opts_.jobs);
-
-  // Cell tasks build the shared Experiment, then fan the per-config replay
-  // jobs out from the worker thread itself, so replays start the moment
-  // their trace exists. The main thread harvests futures in grid order.
-  std::mutex mu;
-  std::condition_variable cell_cv;
-  std::vector<TaskFuture<JobOut>> job_futs(total);
-  std::vector<char> cell_ready(num_cells, 0);
-  std::vector<double> cell_build_ms(num_cells, 0.0);
-  std::vector<std::string> cell_error(num_cells);
-
   std::mutex progress_mu;
   std::size_t completed = 0;
   auto report_progress = [&](std::size_t wi, std::size_t pi, std::size_t k,
@@ -252,63 +242,70 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     opts_.on_progress(p);
   };
 
+  // A cell's value: its build time and the futures of its replay jobs,
+  // indexed by config (configs restored from the journal stay invalid).
+  struct CellOut {
+    double build_ms = 0.0;
+    std::vector<std::future<JobOut>> jobs;
+  };
+
+  std::atomic<bool> abandoned{false};
+  // Declared after every local its tasks capture by reference: if the
+  // harvest below throws, the pool joins before those locals go away.
+  ThreadPool pool(opts_.jobs);
+  // Destroyed before the pool: once the harvest throws (a journal write
+  // failed), the queued cells and replays return at once, so the error
+  // surfaces without the rest of the grid being simulated first.
+  struct AbandonOnExit {
+    std::atomic<bool>& flag;
+    ~AbandonOnExit() { flag = true; }
+  } abandon_on_exit{abandoned};
+
+  // Cell tasks build the shared Experiment, then fan the per-config replay
+  // jobs out from the worker thread itself, so replays start the moment
+  // their trace exists. A cell whose configs all came back from the journal
+  // submits nothing and its future stays invalid. The calling thread
+  // harvests the cells, and then each cell's jobs, in grid order.
+  std::vector<std::future<CellOut>> cells(num_cells);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
     const std::size_t wi = ci / grid.profiles.size();
     const std::size_t pi = ci % grid.profiles.size();
 
-    // Configs this cell still has to simulate (the rest came back from the
-    // journal). A fully-restored cell skips the Experiment build entirely.
     std::vector<std::size_t> needed;
     for (std::size_t k = 0; k < num_configs; ++k) {
       if (restored[ci * num_configs + k] == nullptr) needed.push_back(k);
     }
-    if (needed.empty()) {
-      cell_ready[ci] = 1;  // pre-pool, no lock needed
-      continue;
-    }
+    if (needed.empty()) continue;
 
-    pool.Submit([&, ci, wi, pi, needed] {
+    cells[ci] = pool.Submit([&, wi, pi, needed] {
+      CellOut cell;
+      if (abandoned) return cell;
       const auto build_t0 = std::chrono::steady_clock::now();
       const std::uint64_t cell_seed = DeriveCellSeed(grid.base_seed, wi, pi);
-      std::shared_ptr<core::Experiment> exp;
-      try {
-        core::Experiment::Options eo;
-        eo.num_threads = grid.sim_threads;
-        eo.seed = cell_seed;
-        eo.op_cap = grid.op_cap;
-        // Uniform across the grid (prevalidated above).
-        eo.params.ann = grid.configs.front().ann;
-        // Uniform across the grid (prevalidated above): a persistent grid
-        // generates the full flush/fence discipline into the shared trace.
-        if (grid.configs.front().pmem.enable) {
-          eo.persist = pmem::PersistMode::kFull;
-        }
-        exp = std::make_shared<core::Experiment>(
-            grid.profiles[pi], grid.vertices, grid.workloads[wi], eo);
-      } catch (const std::exception& e) {
-        // The cell is unbuildable (bad workload/profile name, degenerate
-        // graph, ...): every job of the cell fails with this message, and
-        // the rest of the grid proceeds.
-        {
-          std::lock_guard<std::mutex> lk(mu);
-          cell_error[ci] = e.what();
-          cell_build_ms[ci] = MsSince(build_t0);
-          cell_ready[ci] = 1;
-        }
-        cell_cv.notify_all();
-        return;
+      core::Experiment::Options eo;
+      eo.num_threads = grid.sim_threads;
+      eo.seed = cell_seed;
+      eo.op_cap = grid.op_cap;
+      // Uniform across the grid (prevalidated above).
+      eo.params.ann = grid.configs.front().ann;
+      // Uniform across the grid (prevalidated above): a persistent grid
+      // generates the full flush/fence discipline into the shared trace.
+      if (grid.configs.front().pmem.enable) {
+        eo.persist = pmem::PersistMode::kFull;
       }
-      const double build_ms = MsSince(build_t0);
-
-      std::vector<TaskFuture<JobOut>> futs;
-      futs.reserve(needed.size());
+      // An unbuildable cell (bad workload/profile name, degenerate graph,
+      // ...) throws here; the harvest turns the cell future's exception
+      // into failed rows, and the rest of the grid proceeds.
+      const auto exp = std::make_shared<core::Experiment>(
+          grid.profiles[pi], grid.vertices, grid.workloads[wi], eo);
+      cell.build_ms = MsSince(build_t0);
+      cell.jobs.resize(num_configs);
       for (std::size_t k : needed) {
-        futs.push_back(pool.Submit([&, exp, cell_seed, wi, pi, k] {
-          const auto run_t0 = std::chrono::steady_clock::now();
+        cell.jobs[k] = pool.Submit([&, exp, cell_seed, wi, pi, k] {
           JobOut out;
-          // Jobs must not leak exceptions into the pool (a throwing task
-          // would take its worker thread down): a failed replay becomes a
-          // status=kFailed row instead.
+          if (abandoned) return out;
+          const auto run_t0 = std::chrono::steady_clock::now();
+          // A failed replay becomes a status=kFailed row, not a failed sweep.
           try {
             core::SimConfig cfg = grid.configs[k];
             cfg.hmc.fault.seed = fault::DeriveFaultSeed(cell_seed, k);
@@ -331,28 +328,25 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
                           out.results.has_value() ? JobStatus::kOk
                                                   : JobStatus::kFailed);
           return out;
-        }));
+        });
       }
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        for (std::size_t i = 0; i < needed.size(); ++i) {
-          job_futs[ci * num_configs + needed[i]] = std::move(futs[i]);
-        }
-        cell_build_ms[ci] = build_ms;
-        cell_ready[ci] = 1;
-      }
-      cell_cv.notify_all();
+      return cell;
     });
   }
 
   SweepResultTable table;
   table.rows.reserve(total);
   for (std::size_t ci = 0; ci < num_cells; ++ci) {
-    {
-      std::unique_lock<std::mutex> lk(mu);
-      cell_cv.wait(lk, [&] { return cell_ready[ci] != 0; });
+    CellOut cell;
+    std::optional<std::string> cell_error;
+    if (cells[ci].valid()) {
+      try {
+        cell = cells[ci].get();
+      } catch (const std::exception& e) {
+        cell_error = e.what();
+      }
     }
-    table.build_wall_ms += cell_build_ms[ci];
+    table.build_wall_ms += cell.build_ms;
     const std::size_t wi = ci / grid.profiles.size();
     const std::size_t pi = ci % grid.profiles.size();
     const std::uint64_t cell_seed = DeriveCellSeed(grid.base_seed, wi, pi);
@@ -376,19 +370,16 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
       row.config_name = grid.config_names[k];
       row.seed = cell_seed;
 
-      if (!cell_error[ci].empty()) {
+      if (cell_error.has_value()) {
         row.status = JobStatus::kFailed;
-        row.error = cell_error[ci];
+        row.error = *cell_error;
         ++table.failed_rows;
         report_progress(wi, pi, k, 0.0, JobStatus::kFailed);
         table.rows.push_back(std::move(row));
         continue;
       }
 
-      auto o = job_futs[idx].Get();
-      GP_CHECK(o.has_value(), "sweep job was cancelled mid-run");
-      JobOut out = std::move(*o);
-
+      JobOut out = cell.jobs[k].get();
       row.wall_ms = out.wall_ms;
       if (out.results.has_value()) {
         row.results = std::move(*out.results);
@@ -408,10 +399,18 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
       table.rows.push_back(std::move(row));
     }
   }
-  pool.Shutdown();
   writer.Close();
   table.total_wall_ms = MsSince(sweep_t0);
   return table;
+}
+
+int ParseJobs(const Config& cfg) {
+  const std::int64_t jobs = cfg.GetInt("jobs", 0);
+  if (jobs < 0 || jobs > std::numeric_limits<int>::max()) {
+    GP_THROW("config key 'jobs' must be 0 (one worker per hardware thread) "
+             "or a positive count; got ", jobs);
+  }
+  return static_cast<int>(jobs);
 }
 
 std::vector<core::Mode> ParseModeList(const std::string& arg) {

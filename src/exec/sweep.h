@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "core/runner.h"
@@ -157,8 +158,9 @@ class SweepRunner {
   SweepRunner() : SweepRunner(Options{}) {}
 
   // Runs the full grid; blocks until every job finished. Throws SimError
-  // on a resume-journal/grid mismatch or an unwritable journal path;
-  // per-job failures come back as status=kFailed rows, not exceptions.
+  // on a resume-journal/grid mismatch or a journal that cannot be opened
+  // or written; per-job failures come back as status=kFailed rows, not
+  // exceptions. An exception thrown by on_progress propagates too.
   SweepResultTable Run(const SweepGrid& grid) const;
 
  private:
@@ -183,6 +185,11 @@ class SweepRunner {
 // User errors (unknown keys, duplicates, malformed or out-of-range
 // values) throw SimError listing the accepted keys.
 SweepGrid ParseGridSpec(const std::string& spec);
+
+// The --jobs flag of graphpim_sim, graphpim_serve and the benches: 0 (the
+// default) sizes the pool to the host's hardware threads, a positive count
+// sizes it exactly. Throws SimError naming `jobs` on a negative count.
+int ParseJobs(const Config& cfg);
 
 // "baseline,graphpim" / "all" -> mode list (shared by the CLI drivers).
 // Throws SimError on an unknown mode name or an empty list.

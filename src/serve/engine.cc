@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <deque>
+#include <future>
 #include <mutex>
 
 #include "common/log.h"
 #include "common/random.h"
 #include "common/string_util.h"
 #include "core/runner.h"
+#include "exec/thread_pool.h"
 #include "serve/slo.h"
 
 namespace graphpim::serve {
@@ -310,8 +312,8 @@ ServeGridResult RunServeGrid(
     const std::function<void(const exec::SweepProgress&)>& on_progress) {
   if (configs.empty()) GP_THROW("serve grid needs at least one config");
   if (qps_grid.empty()) GP_THROW("serve grid needs at least one qps");
-  // Fail fast on the orchestrating thread: a throw inside a pool worker
-  // would terminate the process, so surface param errors before submit.
+  // Check the parameters on the calling thread, so a bad flag fails before
+  // any point runs.
   if (base.slots < 1) GP_THROW("serve needs at least one dispatch slot");
   if (base.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
   if (base.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
@@ -335,11 +337,13 @@ ServeGridResult RunServeGrid(
 
   ServeGridResult out;
   const std::size_t total = configs.size() * qps_grid.size();
-  exec::ThreadPool pool(jobs);
   std::mutex progress_mu;
   std::size_t completed = 0;
+  // Declared after the locals its tasks capture by reference: if a point
+  // throws, get() rethrows and the pool joins before those locals go away.
+  exec::ThreadPool pool(jobs);
 
-  std::vector<exec::TaskFuture<ServePoint>> futures;
+  std::vector<std::future<ServePoint>> futures;
   futures.reserve(total);
   for (const auto& [name, cfg] : configs) {
     for (double qps : qps_grid) {
@@ -348,7 +352,7 @@ ServeGridResult RunServeGrid(
       p.traffic.qps = qps;
       futures.push_back(pool.Submit(
           [&sg, p = std::move(p), name = name, qps, total, &progress_mu,
-           &completed, &on_progress, t0]() {
+           &completed, &on_progress]() {
             const auto s0 = std::chrono::steady_clock::now();
             ServePoint pt = RunServePoint(sg, p);
             pt.config_name = name;
@@ -373,13 +377,7 @@ ServeGridResult RunServeGrid(
     }
   }
   // Harvest in submission (grid) order — the determinism contract.
-  for (auto& f : futures) {
-    auto v = f.Get();
-    GP_CHECK(v.has_value(), "serve point task was cancelled");
-    out.points.push_back(std::move(*v));
-  }
-  out.pool = pool.stats();
-  pool.ExportStats(&out.pool_stats);
+  for (auto& f : futures) out.points.push_back(f.get());
   out.total_wall_ms = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - t0)
                           .count();

@@ -12,9 +12,9 @@
 // a pure function of (graph, params) — the schedule is value-derived, the
 // queueing simulation advances virtual time only, and every replay is the
 // deterministic core simulator. RunServeGrid parallelizes over *points*
-// on the shared ThreadPool and harvests futures in grid order, so the
-// result table is bit-identical for --jobs=1 and --jobs=N. Only wall-time
-// metadata and pool.* occupancy counters may differ between runs.
+// on an exec::ThreadPool and harvests futures in grid order, so the
+// result table is bit-identical for --jobs=1 and --jobs=N. Only the
+// wall-time metadata may differ between runs.
 #ifndef GRAPHPIM_SERVE_ENGINE_H_
 #define GRAPHPIM_SERVE_ENGINE_H_
 
@@ -26,7 +26,6 @@
 #include "common/stats.h"
 #include "core/sim_config.h"
 #include "exec/sweep.h"
-#include "exec/thread_pool.h"
 #include "serve/query.h"
 #include "serve/traffic.h"
 #include "telemetry/timeline.h"
@@ -118,8 +117,6 @@ ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params);
 struct ServeGridResult {
   std::vector<ServePoint> points;  // configs.size() * qps_grid.size() rows
   double total_wall_ms = 0.0;      // metadata, not part of the contract
-  exec::PoolStats pool;            // metadata: pool occupancy of the run
-  StatRegistry pool_stats;         // pool.* export (metadata)
 };
 
 // `base` supplies everything except cfg (taken per config) and qps (taken

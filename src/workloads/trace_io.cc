@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "common/log.h"
 
@@ -10,6 +11,7 @@ namespace graphpim::workloads {
 namespace {
 
 constexpr char kMagic[8] = {'G', 'P', 'T', 'R', 'A', 'C', 'E', '1'};
+constexpr std::uint64_t kMaxStreams = 4096;  // one per simulated core
 
 // On-disk micro-op record: fixed layout independent of MicroOp's in-memory
 // packing.
@@ -27,9 +29,9 @@ static_assert(sizeof(Record) == 16);
 
 }  // namespace
 
-bool SaveTrace(const Trace& trace, const std::string& path) {
+void SaveTrace(const Trace& trace, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
+  if (f == nullptr) GP_THROW("cannot open trace output file '", path, "'");
   bool ok = std::fwrite(kMagic, sizeof(kMagic), 1, f) == 1;
   std::uint64_t streams = trace.streams.size();
   ok = ok && std::fwrite(&streams, sizeof(streams), 1, f) == 1;
@@ -50,38 +52,65 @@ bool SaveTrace(const Trace& trace, const std::string& path) {
     }
     if (!ok) break;
   }
-  std::fclose(f);
-  return ok;
+  // fclose flushes the buffered tail, so a full disk may only show here.
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) GP_THROW("cannot write trace output file '", path, "'");
 }
 
-bool LoadTrace(const std::string& path, Trace* out) {
+void LoadTrace(const std::string& path, Trace* out) {
   GP_CHECK(out != nullptr);
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> f(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (f == nullptr) GP_THROW("cannot open trace file '", path, "'");
+  std::fseek(f.get(), 0, SEEK_END);
+  const std::uint64_t size = static_cast<std::uint64_t>(std::ftell(f.get()));
+  std::rewind(f.get());
+
+  std::uint64_t off = 0;  // of the next unread byte
+  auto fail = [&](std::uint64_t at, const auto&... what) {
+    GP_THROW("trace file '", path, "': ", what..., " at byte ", at);
+  };
+  auto read = [&](void* dst, std::size_t n, const char* what) {
+    if (std::fread(dst, n, 1, f.get()) != 1) fail(off, "truncated, no ", what);
+    off += n;
+  };
+  // A count of `item`-byte entries must fit in the bytes after it, so a
+  // hostile count fails before anything is reserved.
+  auto read_count = [&](std::uint64_t item, const char* what) {
+    std::uint64_t n = 0;
+    read(&n, sizeof(n), what);
+    const std::uint64_t left = size > off ? size - off : 0;
+    if (n > left / item) {
+      fail(off - sizeof(n), "the ", what, " ", n, " overruns the file (",
+           left, " bytes left)");
+    }
+    return n;
+  };
+
   char magic[8];
-  if (std::fread(magic, sizeof(magic), 1, f) != 1 ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    std::fclose(f);
-    GP_FATAL("not a GraphPIM trace file: ", path);
-  }
-  std::uint64_t streams = 0;
-  if (std::fread(&streams, sizeof(streams), 1, f) != 1 || streams > 4096) {
-    std::fclose(f);
-    GP_FATAL("corrupt trace header in ", path);
+  read(magic, sizeof(magic), "header");
+  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) fail(0, "bad magic");
+  const std::uint64_t streams =
+      read_count(sizeof(std::uint64_t), "stream count");
+  if (streams > kMaxStreams) {
+    fail(8, "the stream count ", streams, " is above ", kMaxStreams);
   }
   out->streams.assign(streams, {});
   for (auto& s : out->streams) {
-    std::uint64_t n = 0;
-    if (std::fread(&n, sizeof(n), 1, f) != 1) {
-      std::fclose(f);
-      GP_FATAL("truncated trace in ", path);
-    }
+    const std::uint64_t n = read_count(sizeof(Record), "stream length");
     s.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       Record r{};
-      if (std::fread(&r, sizeof(r), 1, f) != 1) {
-        std::fclose(f);
-        GP_FATAL("truncated trace in ", path);
+      read(&r, sizeof(r), "record");
+      if (r.type > static_cast<std::uint8_t>(cpu::OpType::kFence)) {
+        fail(off - sizeof(r), "bad op type ", int{r.type}, " in the record");
+      }
+      if (r.comp > static_cast<std::uint8_t>(DataComponent::kProperty)) {
+        fail(off - sizeof(r), "bad data component ", int{r.comp},
+             " in the record");
+      }
+      if (r.aop >= static_cast<std::uint8_t>(hmc::AtomicOp::kNumOps)) {
+        fail(off - sizeof(r), "bad atomic op ", int{r.aop}, " in the record");
       }
       cpu::MicroOp op;
       op.addr = r.addr;
@@ -94,8 +123,6 @@ bool LoadTrace(const std::string& path, Trace* out) {
       s.push_back(op);
     }
   }
-  std::fclose(f);
-  return true;
 }
 
 }  // namespace graphpim::workloads

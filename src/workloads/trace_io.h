@@ -10,12 +10,15 @@
 
 namespace graphpim::workloads {
 
-// Writes `trace` to `path`; returns false on I/O failure.
-bool SaveTrace(const Trace& trace, const std::string& path);
+// Writes `trace` to `path`. Throws SimError naming the path on I/O failure.
+void SaveTrace(const Trace& trace, const std::string& path);
 
-// Loads a trace written by SaveTrace. Returns false on I/O failure;
-// malformed content (bad magic/version/counts) is fatal.
-bool LoadTrace(const std::string& path, Trace* out);
+// Loads a trace written by SaveTrace. The file is untrusted input: every
+// count is checked against the bytes left in the file before anything is
+// allocated, and every record's op type, data component and atomic op
+// against its enum. A missing, truncated or malformed file throws SimError
+// naming the file and the byte offset of the bad field.
+void LoadTrace(const std::string& path, Trace* out);
 
 }  // namespace graphpim::workloads
 

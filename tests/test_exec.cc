@@ -1,26 +1,32 @@
-// src/exec tests: thread-pool lifecycle (drain-on-shutdown, cancellation,
-// futures, stats), deterministic sweep seeding, the grid-spec parser, the
-// result sinks, and the headline regression — a small BFS grid must produce
-// bit-identical results at --jobs=1 and --jobs=4.
+// src/exec tests: the thread pool's contract (futures and task errors,
+// nested-first order, prompt release of captures, drain on destruction),
+// deterministic sweep seeding, the grid-spec parser, the result sinks and
+// checked file writers, and the headline regression — a small BFS grid must
+// produce bit-identical results at --jobs=1 and --jobs=4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file_util.h"
 #include "common/log.h"
+#include "common/trace.h"
 #include "core/report.h"
+#include "exec/journal.h"
 #include "exec/progress.h"
 #include "exec/result_sink.h"
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
+#include "workloads/trace_io.h"
 
 namespace graphpim::exec {
 namespace {
@@ -47,127 +53,130 @@ class Gate {
   bool open_ = false;
 };
 
-TEST(ThreadPool, ReturnsValuesAndRecordsWallTime) {
+TEST(ThreadPool, ReturnsValuesAndRethrowsTaskErrors) {
   ThreadPool pool(2);
   auto f = pool.Submit([] { return 6 * 7; });
-  auto g = pool.Submit([] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  });
-  ASSERT_TRUE(f.Get().has_value());
-  EXPECT_EQ(*f.Get(), 42);
-  EXPECT_EQ(f.state(), TaskState::kDone);
-  ASSERT_TRUE(g.Get().has_value());  // void task yields a `true` marker
-  EXPECT_GE(g.wall_ms(), 4.0);
+  auto g = pool.Submit([] {});
+  auto h = pool.Submit([]() -> int { GP_THROW("task failed"); });
+  EXPECT_EQ(f.get(), 42);
+  g.get();
+  EXPECT_THROW(h.get(), SimError);
+  // The worker that ran the throwing task keeps serving.
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(pool.Submit([i] { return i; }).get(), i);
+  }
 }
 
 TEST(ThreadPool, ShutdownDrainsPendingTasks) {
   std::atomic<int> ran{0};
+  Gate gate;  // declared before the pool: the gated task still uses it
   {
     ThreadPool pool(1);
-    Gate gate;
     pool.Submit([&] { gate.Wait(); });
-    // These sit pending behind the gated task; Shutdown must run them all.
+    // These sit queued behind the gated task; the destructor runs them all.
     for (int i = 0; i < 16; ++i) pool.Submit([&] { ran.fetch_add(1); });
     gate.Open();
-    pool.Shutdown();
   }
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(ThreadPool, CancelWinsOnlyWhilePending) {
-  ThreadPool pool(1);
-  Gate gate;
-  std::atomic<bool> started{false};
-  auto running = pool.Submit([&] {
-    started = true;
-    gate.Wait();
-  });
-  while (!started) std::this_thread::yield();
-  EXPECT_FALSE(running.Cancel());  // already running: cancel must lose
-
-  auto pending = pool.Submit([] { return 1; });
-  EXPECT_TRUE(pending.Cancel());
-  EXPECT_EQ(pending.state(), TaskState::kCancelled);
-  EXPECT_FALSE(pending.Get().has_value());
-
-  gate.Open();
-  pool.Shutdown();
-  const PoolStats s = pool.stats();
-  EXPECT_EQ(s.submitted, 2u);
-  EXPECT_EQ(s.executed, 1u);
-  EXPECT_EQ(s.cancelled, 1u);
-}
-
-TEST(ThreadPool, CancelPendingSweepsTheQueues) {
-  ThreadPool pool(1);
-  Gate gate;
-  std::atomic<bool> started{false};
-  pool.Submit([&] {
-    started = true;
-    gate.Wait();
-  });
-  // Only once the gate task is RUNNING is "pending" exactly the 8 below.
-  while (!started) std::this_thread::yield();
-  std::vector<TaskFuture<int>> futs;
-  for (int i = 0; i < 8; ++i) futs.push_back(pool.Submit([i] { return i; }));
-  EXPECT_EQ(pool.CancelPending(), 8u);
-  gate.Open();
-  pool.WaitIdle();
-  for (auto& f : futs) EXPECT_FALSE(f.Get().has_value());
-  EXPECT_EQ(pool.stats().cancelled, 8u);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilEverythingFinished) {
-  ThreadPool pool(4);
+TEST(ThreadPool, DestructorRunsEveryQueuedTask) {
   std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit([&] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ran.fetch_add(1);
-    });
+  Gate gate;
+  {
+    ThreadPool pool(2);
+    // Each task submits another once released; the destructor also runs
+    // what tasks submit while it waits for the workers.
+    for (int i = 0; i < 8; ++i) {
+      pool.Submit([&] {
+        gate.Wait();
+        pool.Submit([&] { ran.fetch_add(1); });
+      });
+    }
+    gate.Open();
   }
-  pool.WaitIdle();
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.stats().executed, 64u);
+  EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(ThreadPool, NestedSubmissionsRunBeforeExternalOnes) {
+  std::mutex mu;
+  std::vector<std::string> order;
+  auto log = [&](const char* what) {
+    std::lock_guard<std::mutex> lk(mu);
+    order.push_back(what);
+  };
+  Gate gate;
+  ThreadPool pool(1);
+  auto gated = pool.Submit([&] {
+    gate.Wait();
+    log("gated");
+    return pool.Submit([&] { log("nested"); });
+  });
+  // Queued while the only worker is held by the gated task.
+  auto external = pool.Submit([&] { log("external"); });
+  gate.Open();
+  gated.get().get();
+  external.get();
+  EXPECT_EQ(order, (std::vector<std::string>{"gated", "nested", "external"}));
+}
+
+// The order the sweep's memory bound rests on: a worker runs the task it
+// submitted itself before an outside task, while another worker takes the
+// outside task first.
+TEST(ThreadPool, WorkersRunTheirOwnSubmissionsFirst) {
+  Gate t1_go, t2_go, nested_queued, t1_done, nested_ran;
+  std::atomic<int> started{0};
+  std::future<std::thread::id> nested;
+  ThreadPool pool(2);
+  auto t1 = pool.Submit([&] {
+    ++started;
+    t1_go.Wait();
+    nested = pool.Submit([&] {
+      nested_ran.Open();
+      return std::this_thread::get_id();
+    });
+    nested_queued.Open();
+    t1_done.Wait();
+    return std::this_thread::get_id();
+  });
+  auto t2 = pool.Submit([&] {
+    ++started;
+    t2_go.Wait();
+    return std::this_thread::get_id();
+  });
+  while (started.load() < 2) std::this_thread::yield();
+  // Both workers are held; this outside task waits in the queue. Once it
+  // runs it holds its worker until the nested task has run elsewhere.
+  auto outside = pool.Submit([&] {
+    t1_done.Open();
+    nested_ran.Wait();
+    return std::this_thread::get_id();
+  });
+  t1_go.Open();
+  nested_queued.Wait();
+  t2_go.Open();  // t2's worker is now free while both tasks are queued
+  const std::thread::id first = t1.get();
+  const std::thread::id second = t2.get();
+  EXPECT_EQ(nested.get(), first);
+  EXPECT_EQ(outside.get(), second);
+}
+
+TEST(ThreadPool, ReleasesCapturesOnceTaskRuns) {
+  ThreadPool pool(1);
+  auto payload = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = payload;
+  auto first = pool.Submit([p = std::move(payload)] { return *p; });
+  pool.Submit([] {}).get();
+  // One worker ran `first` before the no-op, and its closure is gone,
+  // although its future has not been read.
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(first.get(), 7);
 }
 
 TEST(ThreadPool, OnWorkerThreadDistinguishesInsideFromOutside) {
   ThreadPool pool(2);
   EXPECT_FALSE(pool.OnWorkerThread());
-  auto f = pool.Submit([&pool] { return pool.OnWorkerThread(); });
-  ASSERT_TRUE(f.Get().has_value());
-  EXPECT_TRUE(*f.Get());
-}
-
-TEST(ThreadPool, ExportsOccupancyCountersToRegistry) {
-  ThreadPool pool(2);
-  Gate gate;
-  std::atomic<int> started{0};
-  // Two blockers pin both workers so further submissions must queue.
-  auto b1 = pool.Submit([&] { ++started; gate.Wait(); });
-  auto b2 = pool.Submit([&] { ++started; gate.Wait(); });
-  while (started.load() < 2) std::this_thread::yield();
-  std::vector<TaskFuture<void>> queued;
-  for (int i = 0; i < 4; ++i) queued.push_back(pool.Submit([] {}));
-  // All four are sitting in deques right now: the high-water mark must
-  // have seen them (peaks are monotone, so this cannot flake downward).
-  EXPECT_GE(pool.stats().peak_queued, 4u);
-  gate.Open();
-  pool.WaitIdle();
-  const PoolStats s = pool.stats();
-  EXPECT_EQ(s.submitted, 6u);
-  EXPECT_EQ(s.executed, 6u);
-  EXPECT_GE(s.peak_running, 2u);  // both blockers ran simultaneously
-  StatRegistry reg;
-  pool.ExportStats(&reg);
-  EXPECT_DOUBLE_EQ(reg.Get("pool.threads"), 2.0);
-  EXPECT_DOUBLE_EQ(reg.Get("pool.submitted"), 6.0);
-  EXPECT_DOUBLE_EQ(reg.Get("pool.executed"), 6.0);
-  EXPECT_EQ(reg.Get("pool.peak_queued"), static_cast<double>(s.peak_queued));
-  EXPECT_EQ(reg.Get("pool.peak_running"),
-            static_cast<double>(s.peak_running));
-  // Null registry is the usual no-op contract.
-  pool.ExportStats(nullptr);
+  EXPECT_TRUE(pool.Submit([&pool] { return pool.OnWorkerThread(); }).get());
 }
 
 TEST(SweepSeed, DeterministicAndDecorrelated) {
@@ -453,6 +462,91 @@ TEST(ResultSink, CsvAndJsonCarryTheTable) {
   EXPECT_NE(json.find("\"config\": \"GraphPIM\""), std::string::npos);
   // Each row embeds the full core report object.
   EXPECT_NE(json.find("\"l2_mpki\""), std::string::npos);
+}
+
+TEST(SweepFault, JournalWriteFailureThrows) {
+  SweepRunner::Options opts;
+  opts.jobs = 4;
+  opts.journal_path = "/dev/full";
+  try {
+    SweepRunner(opts).Run(TinyGrid());
+    FAIL() << "a journal on a full device must not pass silently";
+  } catch (const SimError& e) {
+    EXPECT_NE(e.message().find("/dev/full"), std::string::npos) << e.message();
+  }
+}
+
+// A throw out of the harvest unwinds Run while replays are still running.
+// The pool is declared after the locals its tasks capture, so it joins them
+// before those locals go away (the sanitizer jobs run this test), and work
+// still queued returns at once instead of simulating the rest of the grid.
+TEST(SweepFault, ProgressCallbackErrorPropagates) {
+  SweepGrid grid = ParseGridSpec("workloads=bfs,dc;modes=all");
+  grid.vertices = 2048;
+  grid.op_cap = 120'000;
+  for (int jobs : {4, 1}) {
+    std::atomic<int> calls{0};
+    SweepRunner::Options opts;
+    opts.jobs = jobs;
+    opts.on_progress = [&calls](const SweepProgress&) {
+      ++calls;
+      GP_THROW("progress sink failed");
+    };
+    EXPECT_THROW(SweepRunner(opts).Run(grid), SimError);
+    // The one worker is about one replay ahead of the harvest when the
+    // first replay's error reaches it, so the rest of the grid is skipped.
+    if (jobs == 1) {
+      EXPECT_LT(calls.load(), 6);
+    }
+  }
+}
+
+// Every file the tools write fails with a SimError naming it: a missing
+// directory at fopen, a full disk at fwrite, fflush or fclose.
+TEST(FileWrite, FailuresThrowNamingThePath) {
+  auto expect_throw_naming = [](const std::string& path, auto write) {
+    try {
+      write(path);
+      ADD_FAILURE() << "writing " << path << " should fail";
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find(path), std::string::npos) << e.message();
+    }
+  };
+  for (const std::string path : {"/nonexistent/dir/out", "/dev/full"}) {
+    expect_throw_naming(path, [](const std::string& p) {
+      WriteWholeFile(p, "{}\n");
+    });
+    expect_throw_naming(path, [](const std::string& p) {
+      core::WriteJson(core::SimResults{}, p);
+    });
+    expect_throw_naming(path, [](const std::string& p) {
+      WriteDeterministicCsv(SweepResultTable{}, p);
+    });
+    expect_throw_naming(path, [](const std::string& p) {
+      trace::WriteTrace(trace::PhaseLog{}, p);
+    });
+    expect_throw_naming(path, [](const std::string& p) {
+      workloads::SaveTrace(workloads::Trace{}, p);
+    });
+  }
+  JournalWriter journal;
+  expect_throw_naming("/dev/full", [&journal](const std::string& p) {
+    journal.Open(p, "fingerprint");
+  });
+}
+
+TEST(FileWrite, WritesTheWholeContent) {
+  const std::string path = ::testing::TempDir() + "/graphpim_file_write.txt";
+  const std::string content(100000, 'x');
+  WriteWholeFile(path, content);
+  WriteWholeFile(path, content);  // replaces, never appends
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  std::string back(2 * content.size(), '\0');
+  back.resize(std::fread(back.data(), 1, back.size(), f));
+  std::fclose(f);
+  EXPECT_EQ(back, content);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 // III-B), hybrid HMC+DRAM placement, trace serialization, and reports.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
+#include <string>
+#include <vector>
 
+#include "common/log.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "core/system.h"
@@ -138,9 +142,9 @@ TEST(TraceIo, RoundTrip) {
   workloads::SsspWorkload sssp(0);
   Trace t = Gen(sssp, b);
   std::string path = ::testing::TempDir() + "/graphpim_trace_test.bin";
-  ASSERT_TRUE(workloads::SaveTrace(t, path));
+  workloads::SaveTrace(t, path);
   Trace in;
-  ASSERT_TRUE(workloads::LoadTrace(path, &in));
+  workloads::LoadTrace(path, &in);
   ASSERT_EQ(in.streams.size(), t.streams.size());
   for (std::size_t s = 0; s < t.streams.size(); ++s) {
     ASSERT_EQ(in.streams[s].size(), t.streams[s].size());
@@ -163,9 +167,9 @@ TEST(TraceIo, ReplaySameResult) {
   o.op_cap = 200'000;
   core::Experiment exp("ldbc", 2 * 1024, "bfs", o);
   std::string path = ::testing::TempDir() + "/graphpim_trace_replay.bin";
-  ASSERT_TRUE(workloads::SaveTrace(exp.trace(), path));
+  workloads::SaveTrace(exp.trace(), path);
   Trace loaded;
-  ASSERT_TRUE(workloads::LoadTrace(path, &loaded));
+  workloads::LoadTrace(path, &loaded);
   core::SimConfig cfg = core::SimConfig::Scaled(core::Mode::kGraphPim);
   cfg.num_cores = 4;
   core::SimResults a = exp.Run(cfg);
@@ -176,9 +180,89 @@ TEST(TraceIo, ReplaySameResult) {
   std::remove(path.c_str());
 }
 
-TEST(TraceIo, MissingFileFails) {
+// Hand-made trace files for the hostile-input cases: the magic, a stream
+// count, then one stream of `records` 16-byte records whose header claims
+// `length` records.
+std::string WriteHandMadeTrace(const std::string& name, std::uint64_t length,
+                               const std::vector<std::array<std::uint8_t, 16>>&
+                                   records) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr);
+  const std::uint64_t streams = 1;
+  std::fwrite("GPTRACE1", 1, 8, f);
+  std::fwrite(&streams, sizeof(streams), 1, f);
+  std::fwrite(&length, sizeof(length), 1, f);
+  for (const auto& r : records) std::fwrite(r.data(), 1, r.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+// A load record: address 0x40, then type, component, atomic op, size 8.
+std::array<std::uint8_t, 16> LoadRecord(std::uint8_t type, std::uint8_t comp,
+                                        std::uint8_t aop) {
+  return {0x40, 0, 0, 0, 0, 0, 0, 0, type, comp, aop, 8, 0, 1, 0, 0};
+}
+
+// Loading `path` must throw a SimError whose message names the file and
+// holds `expect` (the bad field and its byte offset).
+void ExpectLoadFails(const std::string& path, const std::string& expect) {
   Trace t;
-  EXPECT_FALSE(workloads::LoadTrace("/nonexistent/trace.bin", &t));
+  try {
+    workloads::LoadTrace(path, &t);
+    ADD_FAILURE() << path << " should not load";
+  } catch (const SimError& e) {
+    EXPECT_NE(e.message().find(path), std::string::npos) << e.message();
+    EXPECT_NE(e.message().find(expect), std::string::npos) << e.message();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(TraceIo, MissingFileFails) {
+  ExpectLoadFails("/nonexistent/trace.bin", "cannot open");
+}
+
+TEST(TraceIo, RejectsABadComponent) {
+  const std::string path = WriteHandMadeTrace(
+      "bad_comp.bin", 2, {LoadRecord(2, 0, 1), LoadRecord(2, 200, 1)});
+  ExpectLoadFails(path, "bad data component 200 in the record at byte 40");
+}
+
+TEST(TraceIo, RejectsABadOpType) {
+  ExpectLoadFails(WriteHandMadeTrace("bad_type.bin", 1, {LoadRecord(9, 0, 1)}),
+                  "bad op type 9 in the record at byte 24");
+}
+
+TEST(TraceIo, RejectsABadAtomicOp) {
+  ExpectLoadFails(WriteHandMadeTrace("bad_aop.bin", 1, {LoadRecord(4, 2, 99)}),
+                  "bad atomic op 99 in the record at byte 24");
+}
+
+// A length of 2^62 records must fail before anything is reserved.
+TEST(TraceIo, RejectsAStreamLongerThanTheFile) {
+  ExpectLoadFails(WriteHandMadeTrace("huge.bin", std::uint64_t{1} << 62,
+                                     {LoadRecord(2, 0, 1)}),
+                  "stream length 4611686018427387904 overruns the file (16 "
+                  "bytes left) at byte 16");
+}
+
+TEST(TraceIo, RejectsATruncatedFile) {
+  const std::string full = WriteHandMadeTrace(
+      "full.bin", 2, {LoadRecord(2, 0, 1), LoadRecord(3, 1, 1)});
+  Trace t;
+  workloads::LoadTrace(full, &t);  // the untruncated file loads
+  ASSERT_EQ(t.TotalOps(), 2u);
+  ExpectLoadFails(WriteHandMadeTrace("short.bin", 2, {LoadRecord(2, 0, 1)}),
+                  "stream length 2 overruns the file (16 bytes left) at byte "
+                  "16");
+  // A file cut inside its header.
+  const std::string cut = ::testing::TempDir() + "/cut.bin";
+  std::FILE* f = std::fopen(cut.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite("GPTRACE1\x01\x00", 1, 10, f);
+  std::fclose(f);
+  ExpectLoadFails(cut, "truncated, no stream count at byte 8");
+  std::remove(full.c_str());
 }
 
 TEST(Report, FormatContainsHeadlines) {
@@ -208,7 +292,7 @@ TEST(Report, JsonWritesAndParsesRoughly) {
   EXPECT_NE(json.find("\"cycles\""), std::string::npos);
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   std::string path = ::testing::TempDir() + "/graphpim_report.json";
-  EXPECT_TRUE(core::WriteJson(r, path));
+  core::WriteJson(r, path);
   std::remove(path.c_str());
 }
 

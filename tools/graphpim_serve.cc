@@ -34,17 +34,16 @@
 // DETERMINISM: everything between the "== saturation table ==" markers is
 // a pure function of the flags — bit-identical across --jobs counts and
 // reruns (the serve-identity gate in scripts/golden_identity.sh diffs
-// exactly that region). Wall-clock and pool.* occupancy lines print after
-// the end marker.
+// exactly that region). The wall-clock line prints after the end marker.
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/config.h"
+#include "common/file_util.h"
 #include "common/log.h"
 #include "common/string_util.h"
 #include "telemetry/timeline.h"
@@ -84,6 +83,7 @@ int Run(const Config& cfg) {
       "progress",  "metrics-out", "slo-ns",     "timeline-out"};
   for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
   cfg.RequireKeys(keys);
+  const int jobs = exec::ParseJobs(cfg);
 
   // --- resident graph options (construction is deferred: a knn mix
   // changes what the graph must host) ----------------------------------
@@ -161,7 +161,6 @@ int Run(const Config& cfg) {
     qps_grid.push_back(cfg.GetDouble("qps", 1e6));
   }
 
-  const int jobs = static_cast<int>(cfg.GetInt("jobs", 0));
   std::string mix_str;
   for (const serve::MixEntry& me : base.traffic.mix) {
     if (!mix_str.empty()) mix_str += ",";
@@ -224,15 +223,7 @@ int Run(const Config& cfg) {
   std::printf("== end saturation table ==\n");
 
   // Wall-clock metadata (NOT deterministic; stays outside the markers).
-  std::printf(
-      "\nwall: %.0f ms | pool: %llu submitted, %llu executed, "
-      "%llu steals, peak queued %llu, peak running %llu, busy %.0f ms\n",
-      res.total_wall_ms, static_cast<unsigned long long>(res.pool.submitted),
-      static_cast<unsigned long long>(res.pool.executed),
-      static_cast<unsigned long long>(res.pool.steals),
-      static_cast<unsigned long long>(res.pool.peak_queued),
-      static_cast<unsigned long long>(res.pool.peak_running),
-      res.pool.busy_ms);
+  std::printf("\nwall: %.0f ms\n", res.total_wall_ms);
 
   // Telemetry exports: every point's windows, point-prefixed so the tracks
   // (and JSONL lines) of different grid cells stay distinct.
@@ -257,10 +248,7 @@ int Run(const Config& cfg) {
   }
   if (cfg.Has("timeline-out")) {
     const std::string path = cfg.GetString("timeline-out", "");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) GP_THROW("cannot open timeline output file '", path, "'");
-    f << extras.jsonl_lines;
-    if (!f) GP_THROW("failed writing timeline output file '", path, "'");
+    WriteWholeFile(path, extras.jsonl_lines);
     std::printf("telemetry timeline written to %s\n", path.c_str());
   }
   return 0;

@@ -73,13 +73,14 @@
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <functional>
+#include <future>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "common/config.h"
+#include "common/file_util.h"
 #include "common/log.h"
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -102,7 +103,7 @@ using namespace graphpim;
 
 namespace {
 
-int RunSweep(const Config& cfg) {
+int RunSweep(const Config& cfg, int jobs) {
   // Machine-knob flags apply to every config of the grid: they are appended
   // to the spec, so ParseGridSpec and SimConfig::FromConfig parse and
   // validate them exactly like spec keys (a key given both ways is an error).
@@ -113,7 +114,7 @@ int RunSweep(const Config& cfg) {
   const exec::SweepGrid grid = exec::ParseGridSpec(spec);
 
   exec::SweepRunner::Options opts;
-  opts.jobs = static_cast<int>(cfg.GetInt("jobs", 0));
+  opts.jobs = jobs;
   opts.journal_path = cfg.GetString("journal", "");
   opts.resume = cfg.GetBool("resume", false);
   opts.journal_phases = cfg.GetBool("journal-phases", false);
@@ -171,18 +172,15 @@ int RunSweep(const Config& cfg) {
   }
 
   if (cfg.Has("json")) {
-    GP_CHECK(exec::WriteJson(table, cfg.GetString("json", "")),
-             "cannot write JSON");
+    exec::WriteJson(table, cfg.GetString("json", ""));
     std::printf("JSON written to %s\n", cfg.GetString("json", "").c_str());
   }
   if (cfg.Has("csv")) {
-    GP_CHECK(exec::WriteCsv(table, cfg.GetString("csv", "")),
-             "cannot write CSV");
+    exec::WriteCsv(table, cfg.GetString("csv", ""));
     std::printf("CSV written to %s\n", cfg.GetString("csv", "").c_str());
   }
   if (cfg.Has("det-csv")) {
-    GP_CHECK(exec::WriteDeterministicCsv(table, cfg.GetString("det-csv", "")),
-             "cannot write CSV");
+    exec::WriteDeterministicCsv(table, cfg.GetString("det-csv", ""));
     std::printf("deterministic CSV written to %s\n",
                 cfg.GetString("det-csv", "").c_str());
   }
@@ -207,7 +205,8 @@ int RunMain(const Config& cfg) {
   }
   for (const std::string& k : core::SimConfig::ConfigKeys()) keys.push_back(k);
   cfg.RequireKeys(keys);
-  if (sweep) return RunSweep(cfg);
+  const int jobs = exec::ParseJobs(cfg);
+  if (sweep) return RunSweep(cfg, jobs);
   const std::string workload = cfg.GetString("workload", "bfs");
   const std::string profile = cfg.GetString("profile", "ldbc");
   const std::uint64_t vertices_arg = cfg.GetUint("vertices", 32 * 1024);
@@ -279,15 +278,18 @@ int RunMain(const Config& cfg) {
   // Optional trace snapshotting.
   workloads::Trace trace = exp.trace();
   if (cfg.Has("trace-in")) {
-    GP_CHECK(workloads::LoadTrace(cfg.GetString("trace-in", ""), &trace),
-             "cannot read trace");
-    std::printf("replaying trace from %s (%llu ops)\n\n",
-                cfg.GetString("trace-in", "").c_str(),
+    const std::string path = cfg.GetString("trace-in", "");
+    workloads::LoadTrace(path, &trace);
+    if (trace.streams.size() > static_cast<std::size_t>(opts.num_threads)) {
+      GP_THROW("trace file '", path, "' has ", trace.streams.size(),
+               " streams, more than the ", opts.num_threads,
+               " simulated cores (threads)");
+    }
+    std::printf("replaying trace from %s (%llu ops)\n\n", path.c_str(),
                 static_cast<unsigned long long>(trace.TotalOps()));
   }
   if (cfg.Has("trace-out")) {
-    GP_CHECK(workloads::SaveTrace(trace, cfg.GetString("trace-out", "")),
-             "cannot write trace");
+    workloads::SaveTrace(trace, cfg.GetString("trace-out", ""));
     std::printf("trace saved to %s\n\n", cfg.GetString("trace-out", "").c_str());
   }
   if (cfg.GetBool("fuse", false)) {
@@ -323,10 +325,9 @@ int RunMain(const Config& cfg) {
   // surface) untouched.
   std::function<void(const exec::SweepProgress&)> on_progress;
   if (cfg.GetBool("progress", false)) on_progress = exec::StderrHeartbeat();
-  std::vector<double> job_wall_ms(modes.size(), 0.0);
   {
-    exec::ThreadPool pool(static_cast<int>(cfg.GetInt("jobs", 0)));
-    std::vector<exec::TaskFuture<core::SimResults>> futs;
+    exec::ThreadPool pool(jobs);
+    std::vector<std::future<double>> futs;  // each replay's wall time (ms)
     futs.reserve(modes.size());
     for (std::size_t i = 0; i < mode_cfgs.size(); ++i) {
       const core::SimConfig& sc = mode_cfgs[i];
@@ -339,18 +340,17 @@ int RunMain(const Config& cfg) {
         if (timeline_sink) ro.timeline = &timeline;
       }
       if (pmem_on) ro.persist = &persist_logs[i];
-      futs.push_back(pool.Submit([&trace, &sc, &exp, ro, i, &job_wall_ms] {
-        auto t0 = std::chrono::steady_clock::now();
-        core::SimResults r =
-            core::RunSimulation(trace, sc, exp.pmr_base(), exp.pmr_end(), ro);
-        job_wall_ms[i] = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-        return r;
+      auto& r = mode_results[i];
+      futs.push_back(pool.Submit([&trace, &sc, &exp, ro, &r] {
+        const auto t0 = std::chrono::steady_clock::now();
+        r = core::RunSimulation(trace, sc, exp.pmr_base(), exp.pmr_end(), ro);
+        return std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+            .count();
       }));
     }
     for (std::size_t i = 0; i < futs.size(); ++i) {
-      mode_results[i] = std::move(*futs[i].Get());
+      const double wall_ms = futs[i].get();
       if (on_progress) {
         exec::SweepProgress p;
         p.completed = i + 1;
@@ -358,7 +358,7 @@ int RunMain(const Config& cfg) {
         p.workload = workload;
         p.profile = profile;
         p.config_name = core::ToString(modes[i]);
-        p.wall_ms = job_wall_ms[i];
+        p.wall_ms = wall_ms;
         on_progress(p);
       }
     }
@@ -449,7 +449,7 @@ int RunMain(const Config& cfg) {
   }
 
   if (cfg.Has("json")) {
-    GP_CHECK(core::WriteJson(last, cfg.GetString("json", "")), "cannot write JSON");
+    core::WriteJson(last, cfg.GetString("json", ""));
     std::printf("JSON written to %s\n", cfg.GetString("json", "").c_str());
   }
   if (want_phases) {
@@ -469,10 +469,7 @@ int RunMain(const Config& cfg) {
   }
   if (cfg.Has("timeline-out")) {
     const std::string path = cfg.GetString("timeline-out", "");
-    std::ofstream f(path, std::ios::binary);
-    if (!f) GP_THROW("cannot open timeline output file '", path, "'");
-    f << telemetry::ToJsonl(timeline);
-    if (!f) GP_THROW("failed writing timeline output file '", path, "'");
+    WriteWholeFile(path, telemetry::ToJsonl(timeline));
     std::printf("telemetry timeline (%zu windows, mode %s) written to %s\n",
                 timeline.windows.size(), last.mode.c_str(), path.c_str());
   }
