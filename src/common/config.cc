@@ -38,7 +38,7 @@ std::int64_t Config::GetInt(const std::string& key, std::int64_t def) const {
   char* end = nullptr;
   std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
   if (end == nullptr || *end != '\0') {
-    GP_FATAL("config key '", key, "': '", it->second, "' is not an integer");
+    GP_THROW("config key '", key, "': '", it->second, "' is not an integer");
   }
   return v;
 }
@@ -49,7 +49,7 @@ std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def) const {
   char* end = nullptr;
   std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
   if (end == nullptr || *end != '\0') {
-    GP_FATAL("config key '", key, "': '", it->second, "' is not an unsigned integer");
+    GP_THROW("config key '", key, "': '", it->second, "' is not an unsigned integer");
   }
   return v;
 }
@@ -60,7 +60,7 @@ double Config::GetDouble(const std::string& key, double def) const {
   char* end = nullptr;
   double v = std::strtod(it->second.c_str(), &end);
   if (end == nullptr || *end != '\0') {
-    GP_FATAL("config key '", key, "': '", it->second, "' is not a number");
+    GP_THROW("config key '", key, "': '", it->second, "' is not a number");
   }
   return v;
 }
@@ -71,7 +71,7 @@ bool Config::GetBool(const std::string& key, bool def) const {
   const std::string& v = it->second;
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
   if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  GP_FATAL("config key '", key, "': '", v, "' is not a boolean");
+  GP_THROW("config key '", key, "': '", v, "' is not a boolean");
 }
 
 void Config::RequireKeys(const std::vector<std::string>& accepted) const {

@@ -25,8 +25,8 @@ class Config {
 
   bool Has(const std::string& key) const;
 
-  // Typed getters returning `def` when the key is absent. Malformed values
-  // are fatal (user error).
+  // Typed getters returning `def` when the key is absent. A malformed value
+  // throws SimError naming the key and the value.
   std::string GetString(const std::string& key, const std::string& def) const;
   std::int64_t GetInt(const std::string& key, std::int64_t def) const;
   std::uint64_t GetUint(const std::string& key, std::uint64_t def) const;

@@ -178,7 +178,7 @@ bool IsPowerOfTwo(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
 // fractional "threads=2.5" must fail, not silently floor) and again on the
 // stored field value in Validate() for programmatically-built configs.
 void CheckKnobValue(const KnobRow& row, double v) {
-  if (v < row.min || v > row.max) {
+  if (!(v >= row.min && v <= row.max)) {  // NaN fails too
     GP_THROW("config key '", row.key, "' out of range: ", v, " not in [",
              row.min, ", ", row.max, "]");
   }

@@ -39,6 +39,9 @@ inline constexpr std::uint8_t kFlagFpCompute = 1u << 3;    // FP ALU op (longer 
 // branch; CAS) that may fuse into one CAS-if-greater/less PIM atomic
 // (Section III-B; see workloads/fusion.h).
 inline constexpr std::uint8_t kFlagFusableCmp = 1u << 4;
+// Number of defined flag bits (bits 0-4). A trace tile stores exactly
+// these (cpu/uop_stream.h), so a flag byte with a higher bit is malformed.
+inline constexpr unsigned kNumFlags = 5;
 
 struct MicroOp {
   Addr addr = 0;

@@ -1,23 +1,28 @@
 // Tiled structure-of-arrays micro-op streams (DESIGN.md §15).
 //
 // A UopStream stores one hardware thread's micro-op trace as a chain of
-// fixed-size TraceTiles whose columns (addr / type / comp / aop / size /
-// flags / compute_lat) are split arrays. The layout buys two things over
-// the old std::vector<MicroOp> AoS:
+// fixed-size TraceTiles. A tile holds 1024 ops in three fixed-width
+// columns, 9 bytes per op:
 //
-//   * replay locality — OooCore::Advance walks one ~14KB tile at a time
-//     (comfortably L2-resident even on the scaled machines), and the
-//     barrier scan touches only the 1KB type column;
-//   * allocation behavior — tiles are allocated once and never move, so
-//     TraceBuilder::Push degenerates to a column write plus a rare 14KB
-//     tile allocation instead of geometric reallocation-and-copy of a
-//     multi-hundred-MB vector.
+//   * type    — one byte per op, read alone by the barrier scan;
+//   * word    — four bytes packing everything else but the low address
+//               bits, low to high: component (2 bits), atomic op (5),
+//               flags (5), size (8), compute latency (8) and address
+//               bits 32-35 (4);
+//   * addr_lo — address bits 0-31.
+//
+// So a tile is 9KB, and an op's address must lie below kTraceAddrLimit =
+// 2^36 (workloads/trace.h ties that to the end of the simulated address
+// space). Fixed-width lanes keep every op at a computable position, so
+// OooCore::Advance walks one L2-resident tile at a time, and
+// TraceBuilder::Push is a lane write plus a rare 9KB tile allocation
+// instead of geometric reallocation-and-copy of one huge vector.
 //
 // The container keeps a vector-compatible surface (push_back / reserve /
 // size / operator[] / value-yielding iterators) so trace transforms
 // (ReplaceAtomicsWithPlain, fusion), the persist checker, and tests
 // migrate without semantic change. operator[] and the iterator return
-// MicroOp BY VALUE, materialized from the columns — callers that bind a
+// MicroOp BY VALUE, decoded from the columns — callers that bind a
 // `const MicroOp&` get a lifetime-extended temporary, which is fine for
 // every existing read-only use.
 #ifndef GRAPHPIM_CPU_UOP_STREAM_H_
@@ -29,47 +34,66 @@
 #include <memory>
 #include <vector>
 
+#include "common/log.h"
 #include "cpu/uop.h"
 
 namespace graphpim::cpu {
 
-// 1024 ops per tile: 8KB addr column + 6 x 1KB byte columns = 14KB.
+// 1024 ops per tile: 1KB type + 4KB word + 4KB addr_lo columns = 9KB.
 inline constexpr std::size_t kTileShift = 10;
 inline constexpr std::size_t kTileOps = std::size_t{1} << kTileShift;
 inline constexpr std::size_t kTileMask = kTileOps - 1;
 
+// Every address a tile can hold is below this: 32 bits in addr_lo plus
+// four in word.
+inline constexpr Addr kTraceAddrLimit = Addr{1} << 36;
+
 // One SoA segment. Lanes [0, count) of the owning stream's tail tile are
 // live; interior tiles are always full.
 struct TraceTile {
-  Addr addr[kTileOps];
-  std::uint8_t type[kTileOps];
-  std::uint8_t comp[kTileOps];
-  std::uint8_t aop[kTileOps];
-  std::uint8_t size[kTileOps];
-  std::uint8_t flags[kTileOps];
-  std::uint8_t compute_lat[kTileOps];
+  // Bit offsets of the fields packed into `word`.
+  static constexpr unsigned kAopShift = 2;
+  static constexpr unsigned kFlagsShift = 7;
+  static constexpr unsigned kSizeShift = 12;
+  static constexpr unsigned kLatShift = 20;
+  static constexpr unsigned kAddrHiShift = 28;
+  static_assert(static_cast<unsigned>(DataComponent::kProperty) < 4);
+  static_assert(static_cast<unsigned>(hmc::AtomicOp::kNumOps) <= 32);
+  static_assert(kFlagsShift + kNumFlags == kSizeShift);
 
-  // Materializes lane `l` as a MicroOp (seven column reads).
+  std::uint8_t type[kTileOps];
+  std::uint32_t word[kTileOps];
+  std::uint32_t addr_lo[kTileOps];
+
+  // Decodes lane `l` as a MicroOp.
   MicroOp Get(std::size_t l) const {
+    const std::uint32_t w = word[l];
     MicroOp op;
-    op.addr = addr[l];
+    op.addr = (Addr{w >> kAddrHiShift} << 32) | addr_lo[l];
     op.type = static_cast<OpType>(type[l]);
-    op.comp = static_cast<DataComponent>(comp[l]);
-    op.aop = static_cast<hmc::AtomicOp>(aop[l]);
-    op.size = size[l];
-    op.flags = flags[l];
-    op.compute_lat = compute_lat[l];
+    op.comp = static_cast<DataComponent>(w & 0x3u);
+    op.aop = static_cast<hmc::AtomicOp>((w >> kAopShift) & 0x1fu);
+    op.flags = static_cast<std::uint8_t>((w >> kFlagsShift) & 0x1fu);
+    op.size = static_cast<std::uint8_t>(w >> kSizeShift);
+    op.compute_lat = static_cast<std::uint8_t>(w >> kLatShift);
     return op;
   }
 
+  // Encodes `op` into lane `l`. An op the lane cannot hold is a bug in
+  // its producer; LoadTrace rejects such records before they get here.
   void Set(std::size_t l, const MicroOp& op) {
-    addr[l] = op.addr;
+    GP_CHECK(op.addr < kTraceAddrLimit, "address ", op.addr,
+             " is beyond the trace tile's 2^36 limit");
+    GP_CHECK(op.flags < (1u << kNumFlags), "undefined flag bits in ",
+             int{op.flags});
     type[l] = static_cast<std::uint8_t>(op.type);
-    comp[l] = static_cast<std::uint8_t>(op.comp);
-    aop[l] = static_cast<std::uint8_t>(op.aop);
-    size[l] = op.size;
-    flags[l] = op.flags;
-    compute_lat[l] = op.compute_lat;
+    word[l] = static_cast<std::uint32_t>(op.comp) |
+              static_cast<std::uint32_t>(op.aop) << kAopShift |
+              std::uint32_t{op.flags} << kFlagsShift |
+              std::uint32_t{op.size} << kSizeShift |
+              std::uint32_t{op.compute_lat} << kLatShift |
+              static_cast<std::uint32_t>(op.addr >> 32) << kAddrHiShift;
+    addr_lo[l] = static_cast<std::uint32_t>(op.addr);
   }
 };
 
@@ -105,7 +129,7 @@ class UopStream {
   bool empty() const { return size_ == 0; }
 
   // Reserves tile-pointer capacity for `n` ops. Tiles themselves are
-  // allocated lazily (one 14KB block per kTileOps pushes).
+  // allocated lazily (one 9KB block per kTileOps pushes).
   void reserve(std::size_t n) { tiles_.reserve((n + kTileMask) >> kTileShift); }
 
   void push_back(const MicroOp& op) {

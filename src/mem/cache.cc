@@ -7,8 +7,8 @@
 namespace graphpim::mem {
 
 CacheArray::CacheArray(std::uint64_t size_bytes, std::uint32_t ways,
-                       std::uint32_t line_bytes, ReplacementPolicy policy)
-    : ways_(ways), line_bytes_(line_bytes), policy_(policy) {
+                       std::uint32_t line_bytes)
+    : ways_(ways), line_bytes_(line_bytes) {
   GP_CHECK(ways > 0 && line_bytes > 0);
   GP_CHECK(std::has_single_bit(line_bytes), "line size must be a power of two");
   GP_CHECK(size_bytes % (static_cast<std::uint64_t>(ways) * line_bytes) == 0,
@@ -56,30 +56,13 @@ bool CacheArray::Contains(Addr addr) const {
   return false;
 }
 
-std::uint32_t CacheArray::PickVictim(std::uint32_t set) {
-  Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  switch (policy_) {
-    case ReplacementPolicy::kLru: {
-      std::uint32_t victim = 0;
-      for (std::uint32_t w = 1; w < ways_; ++w) {
-        if (base[w].lru < base[victim].lru) victim = w;
-      }
-      return victim;
-    }
-    case ReplacementPolicy::kRandom:
-      return static_cast<std::uint32_t>(rng_.NextBounded(ways_));
-    case ReplacementPolicy::kNru: {
-      // Victim = first way not referenced since the last reset; the LRU
-      // stamp doubles as the reference mark (stamp == current epoch).
-      std::uint32_t oldest = 0;
-      for (std::uint32_t w = 0; w < ways_; ++w) {
-        if (base[w].lru + ways_ < lru_clock_) return w;
-        if (base[w].lru < base[oldest].lru) oldest = w;
-      }
-      return oldest;
-    }
+std::uint32_t CacheArray::PickVictim(std::uint32_t set) const {
+  const Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
+  std::uint32_t victim = 0;
+  for (std::uint32_t w = 1; w < ways_; ++w) {
+    if (base[w].lru < base[victim].lru) victim = w;
   }
-  return 0;
+  return victim;
 }
 
 CacheArray::Victim CacheArray::Insert(Addr addr, bool dirty) {

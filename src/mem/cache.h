@@ -9,24 +9,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/random.h"
 #include "common/types.h"
 
 namespace graphpim::mem {
-
-// Victim selection policy for a cache array.
-enum class ReplacementPolicy : std::uint8_t {
-  kLru = 0,     // true LRU (default)
-  kRandom = 1,  // pseudo-random victim (deterministic RNG)
-  kNru = 2,     // not-recently-used: one reference bit per way
-};
 
 class CacheArray {
  public:
   // `size_bytes` must be a multiple of ways * line_bytes; the resulting
   // set count must be a power of two.
-  CacheArray(std::uint64_t size_bytes, std::uint32_t ways, std::uint32_t line_bytes,
-             ReplacementPolicy policy = ReplacementPolicy::kLru);
+  CacheArray(std::uint64_t size_bytes, std::uint32_t ways, std::uint32_t line_bytes);
 
   // An evicted victim line returned by Insert().
   struct Victim {
@@ -82,17 +73,15 @@ class CacheArray {
   Addr TagOf(Addr addr) const;
   Addr LineAddr(std::uint32_t set, Addr tag) const;
 
-  // Picks the victim way index within `set` per the configured policy.
-  std::uint32_t PickVictim(std::uint32_t set);
+  // The least recently used way of `set`.
+  std::uint32_t PickVictim(std::uint32_t set) const;
 
   std::uint32_t ways_;
   std::uint32_t line_bytes_;
   std::uint32_t num_sets_;
   std::uint32_t line_shift_;
   std::uint32_t set_shift_;
-  ReplacementPolicy policy_;
   std::uint64_t lru_clock_ = 0;
-  Rng rng_{0xCACE};
   std::vector<Way> ways_storage_;  // num_sets_ * ways_, row-major by set
 };
 

@@ -34,12 +34,11 @@ CacheHierarchy::CacheHierarchy(int num_cores, const CacheParams& params,
   }
   for (int i = 0; i < num_cores; ++i) {
     l1_.push_back(std::make_unique<CacheArray>(params.l1_size, params.l1_ways,
-                                               params.line_bytes, params.replacement));
+                                               params.line_bytes));
     l2_.push_back(std::make_unique<CacheArray>(params.l2_size, params.l2_ways,
-                                               params.line_bytes, params.replacement));
+                                               params.line_bytes));
   }
-  l3_ = std::make_unique<CacheArray>(params.l3_size, params.l3_ways, params.line_bytes,
-                                     params.replacement);
+  l3_ = std::make_unique<CacheArray>(params.l3_size, params.l3_ways, params.line_bytes);
   use_sharers_ = num_cores <= 64;
   mshr_ready_.assign(num_cores, std::vector<Tick>(params.mshrs_per_core, 0));
   l3_bank_ready_.assign(params.l3_banks, 0);

@@ -45,9 +45,6 @@ struct CacheParams {
 
   std::uint32_t mshrs_per_core = 16;
 
-  // Victim selection in every level (architectural sensitivity knob).
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-
   // Remote snoop-invalidation latency for RFO on a shared line.
   Tick snoop_latency = NsToTicks(15.0);
 

@@ -1,6 +1,7 @@
 #include "serve/traffic.h"
 
 #include <cmath>
+#include <cstdlib>
 
 #include "common/log.h"
 #include "common/random.h"
@@ -62,11 +63,12 @@ std::vector<MixEntry> ParseMixSpec(const std::string& s) {
     const std::string name = Trim(piece.substr(0, eq));
     const std::string val = Trim(piece.substr(eq + 1));
     if (name.empty()) GP_THROW("empty kind name in mix spec '", s, "'");
-    try {
-      mix.emplace_back(name, std::stod(val));
-    } catch (const std::exception&) {
+    char* end = nullptr;
+    const double w = std::strtod(val.c_str(), &end);
+    if (val.empty() || end != val.c_str() + val.size() || !std::isfinite(w)) {
       GP_THROW("bad weight '", val, "' for kind '", name, "' in mix spec");
     }
+    mix.emplace_back(name, w);
   }
   if (mix.empty()) GP_THROW("mix spec '", s, "' names no query kinds");
   return mix;

@@ -62,9 +62,10 @@ struct ServeRequest {
 using MixEntry = std::pair<std::string, double>;
 
 // "--mix=knn=1" / "--mix=bfs=0.5,sssp=0.3,prank=0.2" -> entries in flag
-// order. A bare name means weight 1. Throws SimError on malformed pieces;
-// kind names are validated later, by GenerateSchedule, against the
-// registry (so this parser has no registry dependency).
+// order. A bare name means weight 1. Throws SimError on malformed pieces:
+// an empty name, or a weight that is not one finite number. Kind names are
+// validated later, by GenerateSchedule, against the registry (so this
+// parser has no registry dependency).
 std::vector<MixEntry> ParseMixSpec(const std::string& s);
 
 struct TrafficSpec {

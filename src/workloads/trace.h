@@ -20,6 +20,12 @@
 
 namespace graphpim::workloads {
 
+// Every address the builder records comes from an AddressSpace segment,
+// and a trace tile holds addresses up to the end of the highest one.
+static_assert(graph::AddressSpace::kPmrBase + graph::AddressSpace::kSegmentSize <=
+                  cpu::kTraceAddrLimit,
+              "the PMR segment must end within the trace tile's address bits");
+
 // The product: one micro-op stream per hardware thread (== core), stored
 // as tiled SoA segments (cpu::UopStream, DESIGN.md §15).
 struct Trace {
@@ -49,7 +55,7 @@ class TraceBuilder {
 
   // Limits the total recorded ops (sampling large runs); 0 = unlimited.
   // Also pre-reserves each stream's tile spine for its share of the cap,
-  // so Push never reallocates anything but fresh 14KB tiles.
+  // so Push never reallocates anything but fresh 9KB tiles.
   void SetOpCap(std::uint64_t cap);
   bool Capped() const { return capped_; }
 

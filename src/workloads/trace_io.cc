@@ -112,6 +112,14 @@ void LoadTrace(const std::string& path, Trace* out) {
       if (r.aop >= static_cast<std::uint8_t>(hmc::AtomicOp::kNumOps)) {
         fail(off - sizeof(r), "bad atomic op ", int{r.aop}, " in the record");
       }
+      if (r.flags >= 1u << cpu::kNumFlags) {
+        fail(off - sizeof(r), "bad flags ", int{r.flags}, " (only bits 0-",
+             cpu::kNumFlags - 1, " are defined) in the record");
+      }
+      if (r.addr >= cpu::kTraceAddrLimit) {
+        fail(off - sizeof(r), "bad address ", r.addr,
+             " (the limit is 2^36) in the record");
+      }
       cpu::MicroOp op;
       op.addr = r.addr;
       op.type = static_cast<cpu::OpType>(r.type);

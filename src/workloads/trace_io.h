@@ -15,9 +15,11 @@ void SaveTrace(const Trace& trace, const std::string& path);
 
 // Loads a trace written by SaveTrace. The file is untrusted input: every
 // count is checked against the bytes left in the file before anything is
-// allocated, and every record's op type, data component and atomic op
-// against its enum. A missing, truncated or malformed file throws SimError
-// naming the file and the byte offset of the bad field.
+// allocated, every record's op type, data component and atomic op against
+// its enum, and its flags and address against what a trace tile holds
+// (the five defined flag bits, addresses below cpu::kTraceAddrLimit). A
+// missing, truncated or malformed file throws SimError naming the file
+// and the byte offset of the bad record or field.
 void LoadTrace(const std::string& path, Trace* out);
 
 }  // namespace graphpim::workloads

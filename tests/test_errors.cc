@@ -33,10 +33,25 @@ TEST(ErrorPaths, ConfigRejectsMalformedArg) {
 }
 
 TEST(ErrorPaths, ConfigRejectsNonNumeric) {
+  // A malformed value is a user error the drivers report and exit 1 on:
+  // a SimError naming the key and the value, not a process exit from
+  // wherever the value happens to be read.
   Config cfg;
   cfg.Set("n", "abc");
-  EXPECT_EXIT({ cfg.GetInt("n", 0); }, ::testing::ExitedWithCode(1),
-              "not an integer");
+  cfg.Set("b", "maybe");
+  auto expect_throw = [](auto get, const char* want) {
+    try {
+      get();
+      ADD_FAILURE() << "no SimError for " << want;
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find(want), std::string::npos) << e.message();
+    }
+  };
+  expect_throw([&] { cfg.GetInt("n", 0); }, "'n': 'abc' is not an integer");
+  expect_throw([&] { cfg.GetUint("n", 0); },
+               "'n': 'abc' is not an unsigned integer");
+  expect_throw([&] { cfg.GetDouble("n", 0.0); }, "'n': 'abc' is not a number");
+  expect_throw([&] { cfg.GetBool("b", false); }, "'b': 'maybe' is not a boolean");
 }
 
 TEST(ErrorPaths, RegionExhaustionIsFatal) {

@@ -14,11 +14,13 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/file_util.h"
 #include "common/log.h"
+#include "common/random.h"
 #include "common/trace.h"
 #include "core/report.h"
 #include "exec/journal.h"
@@ -27,6 +29,7 @@
 #include "exec/sweep.h"
 #include "exec/thread_pool.h"
 #include "workloads/trace_io.h"
+#include "mutate.h"
 
 namespace graphpim::exec {
 namespace {
@@ -295,6 +298,34 @@ TEST(SweepGridSpec, RejectsVertexCountsTheGeneratorCannotBuild) {
   EXPECT_EQ(ParseGridSpec("workloads=bfs;vertices=2").vertices, 2u);
   EXPECT_EQ(ParseGridSpec("workloads=bfs;vertices=2147483648").vertices,
             2147483648u);
+}
+
+// SplitMix64 mutants of a spec that sets every kind of key (tests/mutate.h)
+// must each parse or throw SimError, never crash or exit.
+TEST(SweepGridSpec, MutantsParseOrThrowSimError) {
+  const std::string seed =
+      "workloads=bfs,prank;profiles=ldbc,twitter;modes=baseline,graphpim;"
+      "vertices=2048;threads=8;opcap=100000;seed=7;full=0;num_cubes=1,4;"
+      "topology=star;link_ber=1e-7;uc-depth=32";
+  ASSERT_NO_THROW(ParseGridSpec(seed));
+  constexpr std::string_view kSpecBytes = ";=,.-+eEx0123456789 \t";
+  constexpr std::size_t kMutants = 20'000;
+  SplitMix64 rng(0x67726964);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const std::string m = Mutate(seed, rng, kSpecBytes);
+    try {
+      const SweepGrid g = ParseGridSpec(m);
+      ++parsed;
+      EXPECT_FALSE(g.workloads.empty()) << m;
+      EXPECT_EQ(g.configs.size(), g.config_names.size()) << m;
+    } catch (const SimError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, kMutants / 20);
+  EXPECT_GT(rejected, kMutants / 20);
 }
 
 TEST(SweepGridSpec, FaultKeysApplyToEveryConfig) {

@@ -4,10 +4,14 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.h"
+#include "common/random.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "core/system.h"
@@ -17,6 +21,7 @@
 #include "workloads/kcore.h"
 #include "workloads/sssp.h"
 #include "workloads/trace_io.h"
+#include "mutate.h"
 
 namespace graphpim {
 namespace {
@@ -198,10 +203,15 @@ std::string WriteHandMadeTrace(const std::string& name, std::uint64_t length,
   return path;
 }
 
-// A load record: address 0x40, then type, component, atomic op, size 8.
+// A record: the little-endian address (0x40 by default), then type,
+// component, atomic op, size 8, the flags and compute latency 1.
 std::array<std::uint8_t, 16> LoadRecord(std::uint8_t type, std::uint8_t comp,
-                                        std::uint8_t aop) {
-  return {0x40, 0, 0, 0, 0, 0, 0, 0, type, comp, aop, 8, 0, 1, 0, 0};
+                                        std::uint8_t aop, std::uint8_t flags = 0,
+                                        std::uint64_t addr = 0x40) {
+  std::array<std::uint8_t, 16> r = {0, 0, 0, 0, 0, 0, 0, 0,
+                                    type, comp, aop, 8, flags, 1, 0, 0};
+  for (int b = 0; b < 8; ++b) r[b] = static_cast<std::uint8_t>(addr >> (8 * b));
+  return r;
 }
 
 // Loading `path` must throw a SimError whose message names the file and
@@ -246,6 +256,43 @@ TEST(TraceIo, RejectsAStreamLongerThanTheFile) {
                   "bytes left) at byte 16");
 }
 
+// A trace tile stores five flag bits (cpu/uop_stream.h). A flag byte with
+// a higher bit used to load and would now panic when its op is stored.
+TEST(TraceIo, RejectsUndefinedFlagBits) {
+  ExpectLoadFails(
+      WriteHandMadeTrace("bad_flags.bin", 1, {LoadRecord(2, 0, 1, 0x80)}),
+      "bad flags 128 (only bits 0-4 are defined) in the record at byte 24");
+  ExpectLoadFails(WriteHandMadeTrace("flag5.bin", 2,
+                                     {LoadRecord(2, 0, 1), LoadRecord(2, 0, 1, 0x20)}),
+                  "bad flags 32 (only bits 0-4 are defined) in the record at "
+                  "byte 40");
+  const std::string path =
+      WriteHandMadeTrace("all_flags.bin", 1, {LoadRecord(2, 0, 1, 0x1f)});
+  Trace t;
+  workloads::LoadTrace(path, &t);
+  ASSERT_EQ(t.TotalOps(), 1u);
+  EXPECT_EQ(t.streams[0][0].flags, 0x1f);
+  std::remove(path.c_str());
+}
+
+// A trace tile stores 36 address bits; 2^40 used to load.
+TEST(TraceIo, RejectsAnAddressBeyondTheTraceLimit) {
+  ExpectLoadFails(WriteHandMadeTrace("far.bin", 1,
+                                     {LoadRecord(2, 2, 1, 0, std::uint64_t{1} << 40)}),
+                  "bad address 1099511627776 (the limit is 2^36) in the record "
+                  "at byte 24");
+  ExpectLoadFails(WriteHandMadeTrace("limit.bin", 1,
+                                     {LoadRecord(2, 2, 1, 0, cpu::kTraceAddrLimit)}),
+                  "bad address 68719476736");
+  const std::string path = WriteHandMadeTrace(
+      "last.bin", 1, {LoadRecord(2, 2, 1, 0, cpu::kTraceAddrLimit - 1)});
+  Trace t;
+  workloads::LoadTrace(path, &t);
+  ASSERT_EQ(t.TotalOps(), 1u);
+  EXPECT_EQ(t.streams[0][0].addr, cpu::kTraceAddrLimit - 1);
+  std::remove(path.c_str());
+}
+
 TEST(TraceIo, RejectsATruncatedFile) {
   const std::string full = WriteHandMadeTrace(
       "full.bin", 2, {LoadRecord(2, 0, 1), LoadRecord(3, 1, 1)});
@@ -263,6 +310,96 @@ TEST(TraceIo, RejectsATruncatedFile) {
   std::fclose(f);
   ExpectLoadFails(cut, "truncated, no stream count at byte 8");
   std::remove(full.c_str());
+}
+
+// A small two-stream trace holding every op kind, flag and data component.
+Trace SmallTrace() {
+  graph::AddressSpace space;
+  const Addr meta = space.meta().Allocate(256);
+  const Addr csr = space.structure().Allocate(256);
+  const Addr prop = space.PmrMalloc(256);
+  workloads::TraceBuilder tb(2, &space);
+  for (int t = 0; t < 2; ++t) {
+    tb.Compute(t, 3, false, t == 1);
+    tb.Load(t, csr + 8 * t, 4, true, true);
+    tb.Branch(t);
+    tb.Atomic(t, prop + 16 * t, hmc::AtomicOp::kCasLess16, 16, true, true);
+    tb.Store(t, meta + 64 * t, 8);
+    tb.Flush(t, prop);
+    tb.Fence(t);
+  }
+  tb.Barrier();
+  return tb.Take();
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+// Every op of `a` equals the op at the same place in `b`, field by field.
+bool SameOps(const Trace& a, const Trace& b) {
+  if (a.streams.size() != b.streams.size()) return false;
+  for (std::size_t s = 0; s < a.streams.size(); ++s) {
+    if (a.streams[s].size() != b.streams[s].size()) return false;
+    for (std::size_t i = 0; i < a.streams[s].size(); ++i) {
+      const cpu::MicroOp x = a.streams[s][i];
+      const cpu::MicroOp y = b.streams[s][i];
+      if (x.addr != y.addr || x.type != y.type || x.comp != y.comp ||
+          x.aop != y.aop || x.size != y.size || x.flags != y.flags ||
+          x.compute_lat != y.compute_lat) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// SplitMix64 byte mutants of a SaveTrace file (tests/mutate.h): each must
+// load or throw SimError, never crash, and one that loads must survive a
+// save and reload unchanged. Before LoadTrace checked the flags and the
+// address, mutants with a high flag or address bit panicked in the tile.
+TEST(TraceIo, MutantsLoadOrThrowSimError) {
+  const std::string seed_path = ::testing::TempDir() + "/gp_trace_fuzz_seed.bin";
+  const std::string mutant = ::testing::TempDir() + "/gp_trace_fuzz_mutant.bin";
+  const std::string resaved = ::testing::TempDir() + "/gp_trace_fuzz_resaved.bin";
+  workloads::SaveTrace(SmallTrace(), seed_path);
+  const std::string seed = ReadBytes(seed_path);
+  ASSERT_EQ(seed.size(), 8u + 8u + 2 * (8u + 8 * 16u));
+
+  // Field boundaries: small counts, enum edges, flag bits, high bytes.
+  using namespace std::string_view_literals;
+  constexpr std::string_view kTraceBytes =
+      "\x00\x01\x02\x03\x04\x07\x08\x10\x14\x15\x1f\x20\x80\xff"sv;
+  constexpr std::size_t kMutants = 20'000;
+  SplitMix64 rng(0x7472616365);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    WriteBytes(mutant, Mutate(seed, rng, kTraceBytes));
+    Trace t;
+    try {
+      workloads::LoadTrace(mutant, &t);
+    } catch (const SimError&) {
+      ++rejected;
+      continue;
+    }
+    ++loaded;
+    workloads::SaveTrace(t, resaved);
+    Trace again;
+    workloads::LoadTrace(resaved, &again);
+    ASSERT_TRUE(SameOps(t, again)) << "mutant " << i;
+  }
+  // Both outcomes occur, or the mutator is not exercising the format.
+  EXPECT_GT(loaded, kMutants / 20);
+  EXPECT_GT(rejected, kMutants / 2);
+  std::remove(seed_path.c_str());
+  std::remove(mutant.c_str());
+  std::remove(resaved.c_str());
 }
 
 TEST(Report, FormatContainsHeadlines) {

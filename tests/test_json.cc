@@ -31,6 +31,7 @@
 #include "exec/sweep.h"
 #include "telemetry/compare.h"
 #include "telemetry/timeline.h"
+#include "mutate.h"
 
 namespace graphpim {
 namespace {
@@ -166,7 +167,7 @@ TEST(Json, ParsesBench0008) {
   const Value bench = json::Parse(Bench0008());
   ASSERT_NE(bench.Find("cycles"), nullptr);
   EXPECT_EQ(bench.Find("cycles")->U64(), 19551196u);
-  EXPECT_EQ(bench.Find("trace_peak_bytes")->U64(), 168226432u);
+  EXPECT_EQ(bench.Find("trace_peak_bytes")->U64(), 108179072u);
   EXPECT_EQ(bench.Find("bench")->text, "BENCH_0008");
 }
 
@@ -379,39 +380,10 @@ TEST(JsonCompare, HostileInputThrowsSimError) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic mutation fuzzing (no fuzzing engine needed).
+// Deterministic mutation fuzzing (tests/mutate.h).
 
-// One SplitMix64-driven mutant of `seed`: one to four stacked edits, each a
-// bit flip, a one-byte insertion, a short deletion or a truncation.
-// Insertions favour JSON punctuation so mutants reach deep into the
-// grammar instead of dying at the first byte.
-std::string Mutate(const std::string& seed, SplitMix64& rng) {
-  static constexpr char kBytes[] = "{}[]\":,-+.eE0123456789\\u \t\n\r\x01\x7f";
-  std::string s = seed;
-  const int edits = 1 + static_cast<int>(rng.Next() % 4);
-  for (int e = 0; e < edits; ++e) {
-    const std::uint64_t r = rng.Next();
-    const std::size_t at = s.empty() ? 0 : (r >> 8) % s.size();
-    switch (r % 4) {
-      case 0:
-        if (!s.empty()) s[at] = static_cast<char>(s[at] ^ (1 << ((r >> 4) % 8)));
-        break;
-      case 1: {
-        const std::uint64_t b = rng.Next();
-        s.insert(s.begin() + static_cast<std::ptrdiff_t>(at),
-                 b % 2 ? kBytes[(b >> 1) % (sizeof(kBytes) - 1)]
-                       : static_cast<char>(b >> 8));
-        break;
-      }
-      case 2:
-        s.erase(at, 1 + (r >> 40) % 8);
-        break;
-      default:
-        s.resize(at);
-    }
-  }
-  return s;
-}
+// JSON punctuation, so insertions reach deep into the grammar.
+constexpr std::string_view kJsonBytes = "{}[]\":,-+.eE0123456789\\u \t\n\r\x01\x7f";
 
 // The header and row lines of a tiny sweep's journal, sidecars left out.
 // `name` is the scratch file; CTest runs tests in parallel processes.
@@ -456,7 +428,7 @@ TEST(JsonFuzz, MutantsParseOrThrowSimError) {
   std::size_t parsed = 0;
   std::size_t rejected = 0;
   for (std::size_t i = 0; i < kMutants; ++i) {
-    const std::string m = Mutate(seeds[i % seeds.size()], rng);
+    const std::string m = Mutate(seeds[i % seeds.size()], rng, kJsonBytes);
     // Anything other than a value or a SimError escapes and fails the test.
     try {
       json::Parse(m);
@@ -481,7 +453,7 @@ TEST(JsonFuzz, LoadJournalSurvivesMutatedRows) {
   std::vector<std::string> lines = {rows[0]};
   SplitMix64 rng(0x6a6f75726e616cULL);
   for (std::size_t i = 0; i < 2'000; ++i) {
-    lines.push_back(Mutate(rows[1 + i % (rows.size() - 1)], rng));
+    lines.push_back(Mutate(rows[1 + i % (rows.size() - 1)], rng, kJsonBytes));
   }
   const std::string path = TempPath("gp_json_fuzz_journal.jsonl");
   WriteLines(path, lines);

@@ -81,43 +81,6 @@ TEST(CacheArray, CapacityBoundedBySize) {
   EXPECT_EQ(c.ValidLines(), 4 * kKiB / 64);
 }
 
-TEST(CacheArray, RandomPolicyStillBoundsCapacity) {
-  CacheArray c(4 * kKiB, 4, 64, ReplacementPolicy::kRandom);
-  for (Addr a = 0; a < 64 * kKiB; a += 64) {
-    if (!c.Contains(a)) c.Insert(a, false);
-  }
-  EXPECT_EQ(c.ValidLines(), 4 * kKiB / 64);
-}
-
-TEST(CacheArray, LruBeatsRandomOnLoopPattern) {
-  // A loop slightly smaller than one set's capacity is LRU-friendly.
-  auto misses = [](ReplacementPolicy pol) {
-    CacheArray c(512, 8, 64, pol);  // 1 set x 8 ways
-    int m = 0;
-    for (int iter = 0; iter < 50; ++iter) {
-      for (Addr a = 0; a < 8 * 64; a += 64) {  // exactly fits
-        if (!c.Lookup(a)) {
-          ++m;
-          c.Insert(a, false);
-        }
-      }
-    }
-    return m;
-  };
-  EXPECT_LE(misses(ReplacementPolicy::kLru), misses(ReplacementPolicy::kRandom));
-}
-
-TEST(CacheArray, NruEvictsUnreferenced) {
-  CacheArray c(512, 2, 64, ReplacementPolicy::kNru);
-  c.Insert(0x0, false);
-  c.Insert(0x100, false);
-  // Touch 0x0 repeatedly so 0x100 ages out.
-  for (int i = 0; i < 8; ++i) c.Lookup(0x0);
-  CacheArray::Victim v = c.Insert(0x200, false);
-  ASSERT_TRUE(v.valid);
-  EXPECT_EQ(v.line_addr, 0x100u);
-}
-
 // Property sweep: inserting N distinct lines into a cache of capacity >= N
 // (within one pass) never evicts when sets are hit uniformly.
 class CacheSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};

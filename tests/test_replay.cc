@@ -1,10 +1,12 @@
-// Tests for the replay path (DESIGN.md §15): the tiled SoA trace and the
-// column-wise walk OooCore::Advance makes over it (tile-boundary barriers,
-// multi-tile rewrites, footprint accounting), the ThreadChunk split the
-// workloads use to hand vertices to trace streams, and the removal of the
-// turn-token sharded engine's knob.
+// Tests for the replay path (DESIGN.md §15): the tiled SoA trace, its
+// packed lane encoding, and the column-wise walk OooCore::Advance makes
+// over it (tile-boundary barriers, multi-tile rewrites, footprint
+// accounting), the ThreadChunk split the workloads use to hand vertices
+// to trace streams, and the removal of the turn-token sharded engine's
+// knob.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "cpu/core.h"
 #include "cpu/uop_stream.h"
 #include "exec/sweep.h"
+#include "graph/region.h"
 #include "workloads/trace.h"
 
 namespace graphpim {
@@ -189,6 +192,90 @@ TEST(ReplayTiles, ReplaceAtomicsWithPlainPreservesMultiTileStreams) {
     }
   }
   EXPECT_EQ(j, out.size());
+}
+
+// Reads every field of `got` against `want`; `how` names the read path.
+void ExpectSameOp(const cpu::MicroOp& got, const cpu::MicroOp& want,
+                  std::size_t i, const char* how) {
+  EXPECT_EQ(got.addr, want.addr) << how << " op " << i;
+  EXPECT_EQ(got.type, want.type) << how << " op " << i;
+  EXPECT_EQ(got.comp, want.comp) << how << " op " << i;
+  EXPECT_EQ(got.aop, want.aop) << how << " op " << i;
+  EXPECT_EQ(got.flags, want.flags) << how << " op " << i;
+  EXPECT_EQ(got.size, want.size) << how << " op " << i;
+  EXPECT_EQ(got.compute_lat, want.compute_lat) << how << " op " << i;
+}
+
+TEST(ReplayTiles, PackedFieldsRoundTrip) {
+  // 9 bytes per op: the type column, the packed word and the low address.
+  EXPECT_EQ(sizeof(cpu::TraceTile), 9216u);
+
+  using AS = graph::AddressSpace;
+  const Addr kAddrs[] = {0,
+                         (Addr{1} << 32) - 1,
+                         Addr{1} << 32,
+                         AS::kMetaBase,
+                         AS::kMetaBase + AS::kSegmentSize - 1,
+                         AS::kStructureBase,
+                         AS::kStructureBase + AS::kSegmentSize - 1,
+                         AS::kPmrBase,
+                         AS::kPmrBase + AS::kSegmentSize - 1,
+                         cpu::kTraceAddrLimit - 1};
+  const std::uint8_t kBytes[] = {0, 1, 255};
+  constexpr std::size_t kNumAops =
+      static_cast<std::size_t>(hmc::AtomicOp::kNumOps);
+  // Each field cycles through its values with its own period, so every
+  // value of every field occurs, beside many values of the other fields.
+  std::vector<cpu::MicroOp> ops;
+  for (std::size_t i = 0; i < 3360; ++i) {
+    cpu::MicroOp op;
+    op.addr = kAddrs[i % std::size(kAddrs)];
+    op.type = static_cast<cpu::OpType>(i % 8);
+    op.comp = static_cast<DataComponent>(i % 3);
+    op.aop = static_cast<hmc::AtomicOp>(i % kNumAops);
+    op.flags = static_cast<std::uint8_t>(i % 32);
+    op.size = kBytes[i % 3];
+    op.compute_lat = kBytes[(i / 3) % 3];
+    ops.push_back(op);
+  }
+
+  // Start 100 lanes before the first tile boundary.
+  cpu::UopStream s;
+  const std::size_t first = cpu::kTileOps - 100;
+  for (std::size_t i = 0; i < first; ++i) s.push_back(ComputeOp());
+  for (const cpu::MicroOp& op : ops) s.push_back(op);
+  ASSERT_EQ(s.size(), first + ops.size());
+  ASSERT_GE(s.num_tiles(), 4u);
+
+  auto it = s.begin();
+  for (std::size_t i = 0; i < first; ++i) ++it;
+  for (std::size_t i = 0; i < ops.size(); ++i, ++it) {
+    const std::size_t at = first + i;
+    ExpectSameOp(s[at], ops[i], i, "operator[]");
+    ExpectSameOp(*it, ops[i], i, "iterator");
+    ExpectSameOp(s.tile(at >> cpu::kTileShift).Get(at & cpu::kTileMask),
+                 ops[i], i, "tile Get");
+  }
+  EXPECT_TRUE(it == s.end());
+}
+
+TEST(ReplayTiles, RejectsUnencodableOp) {
+  // A lane holds 36 address bits and five flag bits; anything wider is a
+  // bug in the op's producer and must not be silently truncated.
+  cpu::UopStream s;
+  cpu::MicroOp far = ComputeOp();
+  far.addr = cpu::kTraceAddrLimit;
+  EXPECT_DEATH(s.push_back(far), "2\\^36 limit");
+  cpu::MicroOp flagged = ComputeOp();
+  flagged.flags = 1u << cpu::kNumFlags;
+  EXPECT_DEATH(s.push_back(flagged), "undefined flag bits");
+  // The widest encodable op still fits.
+  far.addr = cpu::kTraceAddrLimit - 1;
+  flagged.flags = (1u << cpu::kNumFlags) - 1;
+  s.push_back(far);
+  s.push_back(flagged);
+  EXPECT_EQ(s[0].addr, cpu::kTraceAddrLimit - 1);
+  EXPECT_EQ(s[1].flags, (1u << cpu::kNumFlags) - 1);
 }
 
 TEST(ReplayTiles, BytesUsedTracksTileAllocation) {

@@ -5,16 +5,20 @@
 // reruns at a fixed seed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/log.h"
+#include "common/random.h"
 #include "core/sim_config.h"
 #include "serve/engine.h"
 #include "serve/query.h"
 #include "serve/slo.h"
 #include "serve/traffic.h"
 #include "workloads/trace.h"
+#include "mutate.h"
 
 namespace graphpim::serve {
 namespace {
@@ -125,6 +129,46 @@ TEST(ServeTraffic, RejectsDegenerateSpecs) {
   ts.burst_mult = 0.5;
   EXPECT_THROW(GenerateSchedule(ts), SimError);
   EXPECT_THROW(ParseArrivalModel("uniform"), SimError);
+}
+
+// SplitMix64 mutants of a mix spec (tests/mutate.h) must each parse or
+// throw SimError; a mix that parses has finite weights, and the schedule
+// built from it either names an unknown kind in a SimError or draws only
+// the mix's kinds.
+TEST(ServeTraffic, MixSpecMutantsParseOrThrowSimError) {
+  const std::string seed = "bfs=0.5,sssp=0.3,prank=0.2,knn=1e-1";
+  ASSERT_NO_THROW(ParseMixSpec(seed));
+  constexpr std::string_view kMixBytes = "=,.-+eEx0123456789 \t";
+  constexpr std::size_t kMutants = 20'000;
+  SplitMix64 rng(0x6d6978);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    const std::string m = Mutate(seed, rng, kMixBytes);
+    std::vector<MixEntry> mix;
+    try {
+      mix = ParseMixSpec(m);
+      ++parsed;
+    } catch (const SimError&) {
+      ++rejected;
+      continue;
+    }
+    for (const MixEntry& me : mix) {
+      EXPECT_FALSE(me.first.empty()) << m;
+      EXPECT_TRUE(std::isfinite(me.second)) << m;
+    }
+    TrafficSpec ts = TinyTraffic();
+    ts.num_requests = 8;
+    ts.mix = mix;
+    try {
+      for (const ServeRequest& r : GenerateSchedule(ts)) {
+        EXPECT_LT(r.kind, QueryEmitters().size()) << m;
+      }
+    } catch (const SimError&) {
+    }
+  }
+  EXPECT_GT(parsed, kMutants / 20);
+  EXPECT_GT(rejected, kMutants / 20);
 }
 
 TEST(ServeQuery, CarvesArePageAlignedAndDisjoint) {
@@ -350,6 +394,10 @@ TEST(ServeRegistry, ParseMixSpecFormats) {
   EXPECT_EQ(b[0].first, "knn");
   EXPECT_DOUBLE_EQ(b[0].second, 1.0);
   EXPECT_THROW(ParseMixSpec("knn=abc"), SimError);
+  EXPECT_THROW(ParseMixSpec("knn=0.5x"), SimError);  // trailing garbage
+  EXPECT_THROW(ParseMixSpec("knn=nan"), SimError);
+  EXPECT_THROW(ParseMixSpec("knn=inf"), SimError);
+  EXPECT_THROW(ParseMixSpec("knn="), SimError);
   EXPECT_THROW(ParseMixSpec("=1"), SimError);
   EXPECT_THROW(ParseMixSpec(""), SimError);
 }

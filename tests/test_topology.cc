@@ -5,10 +5,12 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/config.h"
 #include "common/log.h"
+#include "common/random.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "exec/sweep.h"
@@ -16,6 +18,7 @@
 #include "graph/region.h"
 #include "hmc/topology.h"
 #include "workloads/params.h"
+#include "mutate.h"
 
 namespace graphpim {
 namespace {
@@ -342,6 +345,45 @@ TEST(SimConfigApi, DescribeIsGeneratedFromTheFieldTable) {
   EXPECT_TRUE(has_key("telemetry.max_windows"));
   EXPECT_TRUE(has_key("telemetry-max-windows"));
   EXPECT_NE(desc.find("telemetry.window_ns="), std::string::npos) << desc;
+}
+
+// Malformed values for machine-knob flags (SplitMix64 mutants of plausible
+// values, tests/mutate.h) must each parse or throw SimError; `full= 3` used
+// to end the process in Config::GetBool. A config that parses holds no NaN
+// knob.
+TEST(SimConfigApi, FlagMutantsParseOrThrowSimError) {
+  const std::vector<std::string> keys = core::SimConfig::ConfigKeys();
+  const std::vector<std::string> values = {"1",    "2",    "4",    "16",
+                                           "64",   "0.5",  "1e-7", "true",
+                                           "star", "nan",  "inf",  "0x10"};
+  constexpr std::string_view kValueBytes = ".-+eExn0123456789 ";
+  const core::Mode kModes[] = {core::Mode::kBaseline, core::Mode::kUPei,
+                               core::Mode::kGraphPim,
+                               core::Mode::kUncacheNoPim};
+  constexpr std::size_t kMutants = 20'000;
+  SplitMix64 rng(0x666c6167);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kMutants; ++i) {
+    Config cfg;
+    const int n = 1 + static_cast<int>(rng.Next() % 2);
+    for (int k = 0; k < n; ++k) {
+      const std::string& key = keys[rng.Next() % keys.size()];
+      cfg.Set(key, Mutate(values[rng.Next() % values.size()], rng, kValueBytes));
+    }
+    try {
+      const core::SimConfig sc = core::SimConfig::FromConfig(cfg, kModes[i % 4]);
+      ++parsed;
+      const std::string desc = sc.Describe();
+      EXPECT_EQ(desc.find("nan"), std::string::npos) << desc;
+    } catch (const SimError&) {
+      ++rejected;
+    }
+  }
+  // Most mutants are malformed by design (an edit of a one-digit value is
+  // often empty or not a number), but both outcomes must occur.
+  EXPECT_GT(parsed, kMutants / 50);
+  EXPECT_GT(rejected, kMutants / 2);
 }
 
 TEST(SimConfigApi, AnnKnobsParseAndRangeCheck) {
