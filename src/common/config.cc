@@ -14,7 +14,7 @@ Config Config::FromArgs(int argc, char** argv) {
     if (StartsWith(tok, "--")) tok = tok.substr(2);
     auto eq = tok.find('=');
     if (eq == std::string::npos) {
-      GP_FATAL("malformed argument '", argv[i], "' (expected key=value)");
+      GP_THROW("malformed argument '", argv[i], "' (expected key=value)");
     }
     cfg.Set(Trim(tok.substr(0, eq)), Trim(tok.substr(eq + 1)));
   }

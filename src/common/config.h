@@ -17,7 +17,8 @@ class Config {
  public:
   Config() = default;
 
-  // Parses "--key=value" / "key=value" tokens; unknown tokens are fatal.
+  // Parses "--key=value" / "key=value" tokens. A token without '=' (such
+  // as "--help") throws SimError naming it.
   static Config FromArgs(int argc, char** argv);
 
   // Sets or overrides a key.

@@ -19,9 +19,9 @@
 // instead of geometric reallocation-and-copy of one huge vector.
 //
 // The container keeps a vector-compatible surface (push_back / reserve /
-// size / operator[] / value-yielding iterators) so trace transforms
-// (ReplaceAtomicsWithPlain, fusion), the persist checker, and tests
-// migrate without semantic change. operator[] and the iterator return
+// shrink_to_fit / size / operator[] / value-yielding iterators) so trace
+// transforms (ReplaceAtomicsWithPlain, fusion), the persist checker, and
+// tests migrate without semantic change. operator[] and the iterator return
 // MicroOp BY VALUE, decoded from the columns — callers that bind a
 // `const MicroOp&` get a lifetime-extended temporary, which is fine for
 // every existing read-only use.
@@ -131,6 +131,11 @@ class UopStream {
   // Reserves tile-pointer capacity for `n` ops. Tiles themselves are
   // allocated lazily (one 9KB block per kTileOps pushes).
   void reserve(std::size_t n) { tiles_.reserve((n + kTileMask) >> kTileShift); }
+
+  // Trims the tile-pointer spine to the tiles in use, so a stream built
+  // under a reserve() that was never filled holds, and BytesUsed()
+  // counts, exactly what a deep copy of it would.
+  void shrink_to_fit() { tiles_.shrink_to_fit(); }
 
   void push_back(const MicroOp& op) {
     const std::size_t lane = size_ & kTileMask;

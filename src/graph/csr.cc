@@ -44,56 +44,34 @@ std::uint64_t* SortKeys(std::uint64_t* keys, std::uint64_t* tmp, std::size_t len
   return keys;
 }
 
-}  // namespace
-
-// The build orders every source's edges by (dst, weight) without a
-// per-source sort or a packed copy of the edges:
-//   1. Count edges by source into the offsets.
-//   2. Partition the edges by source block (2^lbits consecutive sources)
-//      straight into neighbors_/weights_. A block cursor array is small
-//      enough to stay cached, unlike one cursor per source. The source's
-//      low lbits ride in the neighbor slot above the dst bits.
-//   3. Per block, sort 64-bit (low, dst, weight) keys with LSD counting
-//      passes in two block-sized buffers reused across blocks; an ldbc
-//      block's buffers fit in L2.
-//   4. Write the keys back, dropping parallel edges when asked, and
-//      rewrite the block's offsets.
-// Blocks are in source order and `low` orders the sources inside a block,
-// so the result is exactly a per-source sort by (dst, weight).
-CsrGraph::CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup)
-    : num_vertices_(el.num_vertices) {
-  GP_CHECK(num_vertices_ > 0, "empty graph");
-  const std::size_t n = num_vertices_;
-
-  offsets_.assign(n + 1, 0);
-  std::uint32_t weight_bits = 0;  // OR of all weights: same bit width as the max
-  for (const Edge& e : el.edges) {
-    GP_CHECK(e.src < num_vertices_ && e.dst < num_vertices_, "edge endpoint out of range");
-    ++offsets_[e.src + 1];
-    weight_bits |= e.weight;
-  }
-  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
-
+// Steps 2-4 of the build (see CsrGraph::CsrGraph) into `neighbors` and
+// `weights`, whose element type W is the host weight width. `offsets`
+// holds the per-source prefix sums on entry and the final offsets on
+// return; every weight fits `wbits` bits, and so W.
+template <typename W>
+void SortBlocks(const EdgeList& el, bool dedup, unsigned wbits,
+                std::vector<EdgeId>& offsets, std::vector<VertexId>& neighbors,
+                std::vector<W>& weights) {
+  const std::size_t n = el.num_vertices;
   // The slot (low << dbits | dst) must fit a VertexId, so the key
   // (slot << wbits | weight) always fits 64 bits; ten low bits make
   // 1024-source blocks.
-  const auto dbits = static_cast<unsigned>(std::bit_width(num_vertices_ - 1));
-  const auto wbits = static_cast<unsigned>(std::bit_width(weight_bits));
+  const auto dbits = static_cast<unsigned>(std::bit_width(el.num_vertices - 1));
   const unsigned lbits = std::min(10u, 32 - dbits);
   const std::size_t num_blocks = ((n - 1) >> lbits) + 1;
 
   std::vector<EdgeId> cursor(num_blocks);
-  for (std::size_t b = 0; b < num_blocks; ++b) cursor[b] = offsets_[b << lbits];
-  neighbors_.resize(el.edges.size());
-  weights_.resize(el.edges.size());
-  VertexId* np = neighbors_.data();
-  std::uint32_t* wp = weights_.data();
+  for (std::size_t b = 0; b < num_blocks; ++b) cursor[b] = offsets[b << lbits];
+  neighbors.resize(el.edges.size());
+  weights.resize(el.edges.size());
+  VertexId* np = neighbors.data();
+  W* wp = weights.data();
   const VertexId low_mask = (VertexId{1} << lbits) - 1;
   for (const Edge& e : el.edges) {
     const EdgeId at = cursor[e.src >> lbits]++;
     // 64-bit shift: dbits is 32 (and the low bits empty) past 2^31 vertices.
     np[at] = static_cast<VertexId>(std::uint64_t{e.src & low_mask} << dbits) | e.dst;
-    wp[at] = e.weight;
+    wp[at] = static_cast<W>(e.weight);
   }
 
   const unsigned key_bits = lbits + dbits + wbits;
@@ -107,7 +85,7 @@ CsrGraph::CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup)
   for (std::size_t b = 0; b < num_blocks; ++b) {
     const std::size_t v0 = b << lbits;
     const std::size_t v1 = std::min(v0 + low_mask + 1, n);
-    const EdgeId end = offsets_[v1];
+    const EdgeId end = offsets[v1];
     const std::size_t len = end - begin;
     if (keys.size() < len) {
       keys.resize(len);
@@ -124,27 +102,73 @@ CsrGraph::CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup)
       const std::uint64_t slot = sorted[i] >> wbits;
       if (dedup && i > 0 && slot == sorted[i - 1] >> wbits) continue;
       np[out] = static_cast<VertexId>(slot & dst_mask);
-      wp[out] = static_cast<std::uint32_t>(sorted[i] & weight_mask);
+      wp[out] = static_cast<W>(sorted[i] & weight_mask);
       ++out;
       ++kept[slot >> dbits];
     }
-    // offsets_[v0] is already final, and offsets_[v1] was read above.
+    // offsets[v0] is already final, and offsets[v1] was read above.
     for (std::size_t v = v0; v < v1; ++v) {
-      offsets_[v + 1] = offsets_[v] + std::exchange(kept[v - v0], 0);
+      offsets[v + 1] = offsets[v] + std::exchange(kept[v - v0], 0);
     }
     begin = end;
   }
-  neighbors_.resize(out);
-  weights_.resize(out);
+  neighbors.resize(out);
+  weights.resize(out);
+}
 
+}  // namespace
+
+// The build orders every source's edges by (dst, weight) without a
+// per-source sort or a packed copy of the edges:
+//   1. Count edges by source into the offsets, and find the widest weight.
+//   2. Partition the edges by source block (2^lbits consecutive sources)
+//      straight into neighbors_ and the host weight array the widest
+//      weight chose. A block cursor array is small enough to stay cached,
+//      unlike one cursor per source. The source's low lbits ride in the
+//      neighbor slot above the dst bits.
+//   3. Per block, sort 64-bit (low, dst, weight) keys with LSD counting
+//      passes in two block-sized buffers reused across blocks; an ldbc
+//      block's buffers fit in L2.
+//   4. Write the keys back, dropping parallel edges when asked, and
+//      rewrite the block's offsets.
+// Blocks are in source order and `low` orders the sources inside a block,
+// so the result is exactly a per-source sort by (dst, weight). The edge
+// list, the neighbors and the weights are alive together in step 2, which
+// is the build's peak; one-byte weights are what lower it.
+CsrGraph::CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup)
+    : num_vertices_(el.num_vertices) {
+  GP_CHECK(num_vertices_ > 0, "empty graph");
+
+  offsets_.assign(std::size_t{num_vertices_} + 1, 0);
+  std::uint32_t weight_bits = 0;  // OR of all weights: same bit width as the max
+  for (const Edge& e : el.edges) {
+    GP_CHECK(e.src < num_vertices_ && e.dst < num_vertices_, "edge endpoint out of range");
+    ++offsets_[e.src + 1];
+    weight_bits |= e.weight;
+  }
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+
+  const auto wbits = static_cast<unsigned>(std::bit_width(weight_bits));
+  if (wbits <= 8) {
+    SortBlocks(el, dedup, wbits, offsets_, neighbors_, narrow_weights_);
+  } else {
+    SortBlocks(el, dedup, wbits, offsets_, neighbors_, wide_weights_);
+  }
+
+  // The simulated layout keeps four bytes per weight at either host width.
   offsets_addr_ = space.structure().Allocate(offsets_.size() * sizeof(EdgeId));
   neighbors_addr_ = space.structure().Allocate(neighbors_.size() * sizeof(VertexId));
-  weights_addr_ = space.structure().Allocate(weights_.size() * sizeof(std::uint32_t));
+  weights_addr_ = space.structure().Allocate(num_edges() * sizeof(std::uint32_t));
 }
 
 std::uint64_t CsrGraph::StructureBytes() const {
   return offsets_.size() * sizeof(EdgeId) + neighbors_.size() * sizeof(VertexId) +
-         weights_.size() * sizeof(std::uint32_t);
+         num_edges() * sizeof(std::uint32_t);
+}
+
+std::uint64_t CsrGraph::HostBytes() const {
+  return offsets_.size() * sizeof(EdgeId) + neighbors_.size() * sizeof(VertexId) +
+         narrow_weights_.size() + wide_weights_.size() * sizeof(std::uint32_t);
 }
 
 }  // namespace graphpim::graph

@@ -3,6 +3,14 @@
 // The CSR arrays register simulated addresses in the structure segment;
 // workloads use OffsetAddr()/NeighborAddr()/WeightAddr() when emitting the
 // structure-component loads of their traversal loops.
+//
+// Host width against simulated width: the simulated machine always lays a
+// weight out in four bytes (WeightAddr, StructureBytes and the structure
+// segment count four), so traces and cycle counts do not depend on how
+// the host stores it. The host copy takes one byte per weight when the
+// widest weight fits in eight bits, as every generated graph's 1-16
+// weights do, and four bytes otherwise (a loaded edge list may carry any
+// uint32 weight). Weight(e) reads either; HostBytes() counts what is held.
 #ifndef GRAPHPIM_GRAPH_CSR_H_
 #define GRAPHPIM_GRAPH_CSR_H_
 
@@ -37,8 +45,9 @@ class CsrGraph {
             neighbors_.data() + offsets_[v + 1]};
   }
 
-  std::span<const std::uint32_t> Weights(VertexId v) const {
-    return {weights_.data() + offsets_[v], weights_.data() + offsets_[v + 1]};
+  // The weight of edge `e` (an id in [OffsetOf(v), OffsetOf(v + 1))).
+  std::uint32_t Weight(EdgeId e) const {
+    return wide_weights_.empty() ? narrow_weights_[e] : wide_weights_[e];
   }
 
   // Simulated addresses of the structure arrays.
@@ -46,14 +55,21 @@ class CsrGraph {
   Addr NeighborAddr(EdgeId e) const { return neighbors_addr_ + e * sizeof(VertexId); }
   Addr WeightAddr(EdgeId e) const { return weights_addr_ + e * sizeof(std::uint32_t); }
 
-  // Total simulated footprint of the structure arrays, in bytes.
+  // Total simulated footprint of the structure arrays, in bytes: four
+  // per weight, whatever the host width.
   std::uint64_t StructureBytes() const;
+
+  // Bytes of the host's copy of the structure arrays: one or four per
+  // weight.
+  std::uint64_t HostBytes() const;
 
  private:
   VertexId num_vertices_;
   std::vector<EdgeId> offsets_;         // size n+1
   std::vector<VertexId> neighbors_;     // size m
-  std::vector<std::uint32_t> weights_;  // size m
+  // Exactly one holds the m weights; both are empty without edges.
+  std::vector<std::uint8_t> narrow_weights_;
+  std::vector<std::uint32_t> wide_weights_;
   Addr offsets_addr_;
   Addr neighbors_addr_;
   Addr weights_addr_;

@@ -56,29 +56,26 @@ bool CacheArray::Contains(Addr addr) const {
   return false;
 }
 
-std::uint32_t CacheArray::PickVictim(std::uint32_t set) const {
-  const Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  std::uint32_t victim = 0;
-  for (std::uint32_t w = 1; w < ways_; ++w) {
-    if (base[w].lru < base[victim].lru) victim = w;
-  }
-  return victim;
-}
-
 CacheArray::Victim CacheArray::Insert(Addr addr, bool dirty) {
   std::uint32_t set = SetOf(addr);
   Addr tag = TagOf(addr);
   Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  Way* target = nullptr;
-  Victim victim;
+  // One walk over every way: it compares each valid way's tag (a free way
+  // earlier in the set does not end it) and finds the first free way and
+  // the least recently used one. The line goes to the first free way, else
+  // to the LRU way.
+  Way* hole = nullptr;
+  Way* lru = base;
   for (std::uint32_t w = 0; w < ways_; ++w) {
     if (!base[w].valid()) {
-      target = &base[w];
-      break;
+      if (hole == nullptr) hole = &base[w];
+      continue;
     }
     GP_CHECK(base[w].tag() != tag, "Insert() of a line already present");
+    if (base[w].lru < lru->lru) lru = &base[w];
   }
-  if (target == nullptr) target = &base[PickVictim(set)];
+  Way* target = hole != nullptr ? hole : lru;
+  Victim victim;
   if (target->valid()) {
     victim.valid = true;
     victim.dirty = target->dirty();

@@ -73,9 +73,6 @@ class CacheArray {
   Addr TagOf(Addr addr) const;
   Addr LineAddr(std::uint32_t set, Addr tag) const;
 
-  // The least recently used way of `set`.
-  std::uint32_t PickVictim(std::uint32_t set) const;
-
   std::uint32_t ways_;
   std::uint32_t line_bytes_;
   std::uint32_t num_sets_;

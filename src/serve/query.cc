@@ -164,7 +164,6 @@ void EmitSsspQuery(QueryCtx& cx, VertexId root) {
       const std::int64_t du = dist[u];
       EdgeId e = g.OffsetOf(u);
       auto neighbors = g.Neighbors(u);
-      auto weights = g.Weights(u);
       for (std::size_t j = 0; j < neighbors.size(); ++j) {
         VertexId v = neighbors[j];
         if (!cx.Budget(6)) return;
@@ -176,7 +175,7 @@ void EmitSsspQuery(QueryCtx& cx, VertexId root) {
                    /*fusable_cmp=*/true);      // relax compare block
         cx.tb.Branch(cx.t, /*dep=*/true);
         ++cx.fp.edges;
-        const std::int64_t nd = du + weights[j];
+        const std::int64_t nd = du + g.Weight(e);
         if (nd < dist[v]) {
           if (!cx.Budget(3)) return;
           cx.tb.Atomic(cx.t, cx.carve.PropAddr(v), hmc::AtomicOp::kCasEqual8,

@@ -43,7 +43,6 @@ void SsspWorkload::Generate(const graph::CsrGraph& g, graph::AddressSpace& space
         std::int64_t du = dist[u];
         EdgeId e = g.OffsetOf(u);
         auto neighbors = g.Neighbors(u);
-        auto weights = g.Weights(u);
         for (std::size_t j = 0; j < neighbors.size(); ++j) {
           VertexId v = neighbors[j];
           tb.Load(t, g.NeighborAddr(e), 4);            // structure: neighbor
@@ -53,7 +52,7 @@ void SsspWorkload::Generate(const graph::CsrGraph& g, graph::AddressSpace& space
           tb.Load(t, dist.AddrOf(v), 8, /*dep=*/true,
                   /*fusable_cmp=*/true);  // property: current (relax block)
           tb.Branch(t, /*dep=*/true);
-          std::int64_t nd = du + weights[j];
+          std::int64_t nd = du + g.Weight(e);
           if (nd < dist[v]) {
             tb.Atomic(t, dist.AddrOf(v), hmc::AtomicOp::kCasEqual8, 8,
                       /*want_return=*/true, /*dep=*/true);

@@ -131,6 +131,7 @@ void TraceBuilder::Barrier() {
 
 Trace TraceBuilder::Take() {
   Trace out = std::move(trace_);
+  for (auto& s : out.streams) s.shrink_to_fit();
   trace_ = Trace{};
   trace_.streams.resize(out.streams.size());
   return out;

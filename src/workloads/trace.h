@@ -106,7 +106,10 @@ class TraceBuilder {
   // Appends a barrier to every thread (superstep boundary).
   void Barrier();
 
-  // Takes the finished trace (builder is left empty).
+  // Takes the finished trace (builder is left empty). Each stream's tile
+  // spine is trimmed to its tiles (UopStream::shrink_to_fit), dropping
+  // what SetOpCap reserved but the workload never filled, so the trace
+  // can be replayed in place and its BytesUsed() equals a deep copy's.
   Trace Take();
 
   std::uint64_t total_ops() const { return total_ops_; }

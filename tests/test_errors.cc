@@ -27,9 +27,16 @@ TEST(ErrorPaths, FatalExitsWithDiagnostic) {
 }
 
 TEST(ErrorPaths, ConfigRejectsMalformedArg) {
+  // A flag without '=' (say --help) is a user error the drivers report and
+  // exit 1 on, so it is a SimError naming the token, not a process exit.
   const char* argv[] = {"prog", "--no-equals-sign"};
-  EXPECT_EXIT({ Config::FromArgs(2, const_cast<char**>(argv)); },
-              ::testing::ExitedWithCode(1), "malformed argument");
+  try {
+    Config::FromArgs(2, const_cast<char**>(argv));
+    ADD_FAILURE() << "no SimError for a flag without '='";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.message(),
+              "malformed argument '--no-equals-sign' (expected key=value)");
+  }
 }
 
 TEST(ErrorPaths, ConfigRejectsNonNumeric) {
@@ -69,6 +76,17 @@ TEST(ErrorPaths, CacheDoubleInsertIsBug) {
   mem::CacheArray c(4096, 4, 64);
   c.Insert(0x40, false);
   EXPECT_DEATH({ c.Insert(0x40, false); }, "already present");
+}
+
+TEST(ErrorPaths, CacheDoubleInsertAfterAHoleIsBug) {
+  // 0x0 and 0x400 share set 0 of the 16-set array. Invalidating 0x0 leaves
+  // a free way in front of 0x400's, and the duplicate check must look past
+  // it.
+  mem::CacheArray c(4096, 4, 64);
+  c.Insert(0x0, false);
+  c.Insert(0x400, false);
+  ASSERT_TRUE(c.Invalidate(0x0));
+  EXPECT_DEATH({ c.Insert(0x400, false); }, "already present");
 }
 
 // Bad workload/profile names are recoverable (SimError): a sweep isolates

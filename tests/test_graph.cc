@@ -181,11 +181,11 @@ TEST(Csr, BuildsOffsetsAndSortedNeighbors) {
   ASSERT_EQ(n0.size(), 3u);
   EXPECT_TRUE(std::is_sorted(n0.begin(), n0.end()));
   // Weights follow their edges through the sort.
-  auto w0 = g.Weights(0);
+  const EdgeId e0 = g.OffsetOf(0);
   EXPECT_EQ(n0[0], 1u);
-  EXPECT_EQ(w0[0], 3u);
+  EXPECT_EQ(g.Weight(e0), 3u);
   EXPECT_EQ(n0[1], 2u);
-  EXPECT_EQ(w0[1], 5u);
+  EXPECT_EQ(g.Weight(e0 + 1), 5u);
 }
 
 TEST(Csr, DedupKeepsFirstWeight) {
@@ -196,7 +196,7 @@ TEST(Csr, DedupKeepsFirstWeight) {
   CsrGraph g(el, space, /*dedup=*/true);
   EXPECT_EQ(g.num_edges(), 2u);
   EXPECT_EQ(g.OutDegree(0), 2u);
-  EXPECT_EQ(g.Weights(0)[0], 7u);
+  EXPECT_EQ(g.Weight(g.OffsetOf(0)), 7u);
 
   // "First" in sorted order: the smallest weight wins, whatever the input
   // order.
@@ -205,7 +205,7 @@ TEST(Csr, DedupKeepsFirstWeight) {
   CsrGraph r(el, space2, /*dedup=*/true);
   ASSERT_EQ(r.OutDegree(0), 2u);
   EXPECT_EQ(r.Neighbors(0)[0], 1u);
-  EXPECT_EQ(r.Weights(0)[0], 7u);
+  EXPECT_EQ(r.Weight(r.OffsetOf(0)), 7u);
 }
 
 // The CSR build must reproduce the per-source sort it replaced, byte for
@@ -266,9 +266,10 @@ void ExpectMatchesReference(const EdgeList& el) {
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       bad_offsets += g.OffsetOf(v) != ref.offsets[v];
       const auto nb = g.Neighbors(v);
-      const auto wt = g.Weights(v);
       neighbors.insert(neighbors.end(), nb.begin(), nb.end());
-      weights.insert(weights.end(), wt.begin(), wt.end());
+      for (EdgeId e = g.OffsetOf(v); e < g.OffsetOf(v) + nb.size(); ++e) {
+        weights.push_back(g.Weight(e));
+      }
     }
     EXPECT_EQ(bad_offsets, 0u);
     // EXPECT_TRUE, not EXPECT_EQ: a mismatch must not print the arrays.
@@ -365,6 +366,47 @@ TEST(Csr, StructureAddressesInStructureSegment) {
   EXPECT_EQ(space.ComponentOf(g.NeighborAddr(0)), DataComponent::kStructure);
   EXPECT_EQ(space.ComponentOf(g.WeightAddr(0)), DataComponent::kStructure);
   EXPECT_GT(g.StructureBytes(), 0u);
+}
+
+// Generated weights are 1-16, so the host copy holds one byte per weight;
+// the simulated layout still spends four, at the same addresses.
+TEST(Csr, GeneratedWeightsTakeOneHostByte) {
+  for (const char* profile : {"ldbc", "bitcoin", "twitter"}) {
+    SCOPED_TRACE(profile);
+    AddressSpace space;
+    const CsrGraph g(GenerateProfile(profile, 4096, 3), space);
+    const std::uint64_t n = g.num_vertices();
+    const std::uint64_t m = g.num_edges();
+    ASSERT_GT(m, 1u);
+    const std::uint64_t rows = (n + 1) * sizeof(EdgeId) + m * sizeof(VertexId);
+    EXPECT_EQ(g.HostBytes(), rows + m);
+    EXPECT_EQ(g.StructureBytes(), rows + m * sizeof(std::uint32_t));
+    EXPECT_EQ(g.WeightAddr(m - 1) - g.WeightAddr(0), (m - 1) * sizeof(std::uint32_t));
+    // The weights are the last structure array the build allocates.
+    EXPECT_EQ(space.structure().base() + space.structure().used_bytes(),
+              g.WeightAddr(0) + m * sizeof(std::uint32_t));
+  }
+}
+
+// One weight above eight bits puts every weight on four host bytes, and
+// each still reads back exactly.
+TEST(Csr, WideWeightsKeepFourBytes) {
+  EdgeList el;
+  el.num_vertices = 3;
+  el.edges = {{0, 1, 7}, {0, 2, 256}, {1, 2, 255}, {2, 0, 1}};
+  AddressSpace space;
+  const CsrGraph g(el, space);
+  ASSERT_EQ(g.num_edges(), 4u);
+  EXPECT_EQ(g.HostBytes(), g.StructureBytes());
+  const std::uint32_t want[] = {7, 256, 255, 1};
+  for (EdgeId e = 0; e < g.num_edges(); ++e) EXPECT_EQ(g.Weight(e), want[e]);
+
+  el.edges[1].weight = 200;
+  AddressSpace narrow_space;
+  const CsrGraph narrow(el, narrow_space);
+  EXPECT_EQ(narrow.HostBytes() + 3 * narrow.num_edges(), narrow.StructureBytes());
+  EXPECT_EQ(narrow.Weight(1), 200u);
+  EXPECT_EQ(narrow.WeightAddr(1), g.WeightAddr(1));
 }
 
 TEST(Csr, EdgeIdsMatchOffsets) {

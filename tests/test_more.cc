@@ -58,6 +58,22 @@ TEST(TraceBuilderMore, ComponentClassificationAutomatic) {
   EXPECT_EQ(t.streams[0][1].comp, DataComponent::kProperty);
 }
 
+TEST(TraceBuilderMore, TakeTrimsTheTileSpine) {
+  // SetOpCap reserves each stream's spine for its share of the cap; a
+  // workload that stops well short of it must not leave that reserve in
+  // the trace, which drivers replay in place and whose BytesUsed() the
+  // report prints as trace.peak_bytes.
+  graph::AddressSpace space;
+  workloads::TraceBuilder tb(4, &space);
+  tb.SetOpCap(4'000'000);
+  for (int i = 0; i < 5000; ++i) tb.Branch(i % 4);
+  const workloads::Trace t = tb.Take();
+  const workloads::Trace copy = t;
+  EXPECT_EQ(t.BytesUsed(), copy.BytesUsed());
+  EXPECT_EQ(t.BytesUsed(), 4 * (2 * sizeof(cpu::TraceTile) +
+                                2 * sizeof(std::unique_ptr<cpu::TraceTile>)));
+}
+
 // ------------------------------------------------------------------ HMC
 
 TEST(CubeMore, LinksShareLoad) {

@@ -121,9 +121,8 @@ std::vector<std::int64_t> RefDijkstra(const CsrGraph& g, VertexId root) {
     pq.erase(pq.begin());
     if (d > dist[u]) continue;
     auto nbrs = g.Neighbors(u);
-    auto ws = g.Weights(u);
     for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      std::int64_t nd = d + ws[i];
+      std::int64_t nd = d + g.Weight(g.OffsetOf(u) + i);
       if (nd < dist[nbrs[i]]) {
         dist[nbrs[i]] = nd;
         pq.insert({nd, nbrs[i]});

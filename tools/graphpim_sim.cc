@@ -275,27 +275,31 @@ int RunMain(const Config& cfg) {
               static_cast<unsigned long long>(exp.graph().num_edges()),
               static_cast<unsigned long long>(exp.trace().TotalOps()));
 
-  // Optional trace snapshotting.
-  workloads::Trace trace = exp.trace();
+  // The replayed trace: the experiment's own, in place, unless --trace-in
+  // or --fuse puts a local one in its stead.
+  const workloads::Trace* trace = &exp.trace();
+  workloads::Trace local;
   if (cfg.Has("trace-in")) {
     const std::string path = cfg.GetString("trace-in", "");
-    workloads::LoadTrace(path, &trace);
-    if (trace.streams.size() > static_cast<std::size_t>(opts.num_threads)) {
-      GP_THROW("trace file '", path, "' has ", trace.streams.size(),
+    workloads::LoadTrace(path, &local);
+    if (local.streams.size() > static_cast<std::size_t>(opts.num_threads)) {
+      GP_THROW("trace file '", path, "' has ", local.streams.size(),
                " streams, more than the ", opts.num_threads,
                " simulated cores (threads)");
     }
+    trace = &local;
     std::printf("replaying trace from %s (%llu ops)\n\n", path.c_str(),
-                static_cast<unsigned long long>(trace.TotalOps()));
+                static_cast<unsigned long long>(trace->TotalOps()));
   }
   if (cfg.Has("trace-out")) {
-    workloads::SaveTrace(trace, cfg.GetString("trace-out", ""));
+    workloads::SaveTrace(*trace, cfg.GetString("trace-out", ""));
     std::printf("trace saved to %s\n\n", cfg.GetString("trace-out", "").c_str());
   }
   if (cfg.GetBool("fuse", false)) {
     graph::AddressSpace space;
     workloads::FusionStats fs;
-    trace = workloads::FuseComparisonBlocks(trace, space, &fs);
+    local = workloads::FuseComparisonBlocks(*trace, space, &fs);
+    trace = &local;
     std::printf("fusion: %llu comparison blocks -> CAS-if-less "
                 "(%llu ops removed)\n\n",
                 static_cast<unsigned long long>(fs.fused_with_cas +
@@ -341,9 +345,9 @@ int RunMain(const Config& cfg) {
       }
       if (pmem_on) ro.persist = &persist_logs[i];
       auto& r = mode_results[i];
-      futs.push_back(pool.Submit([&trace, &sc, &exp, ro, &r] {
+      futs.push_back(pool.Submit([trace, &sc, &exp, ro, &r] {
         const auto t0 = std::chrono::steady_clock::now();
-        r = core::RunSimulation(trace, sc, exp.pmr_base(), exp.pmr_end(), ro);
+        r = core::RunSimulation(*trace, sc, exp.pmr_base(), exp.pmr_end(), ro);
         return std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
             .count();
@@ -387,7 +391,7 @@ int RunMain(const Config& cfg) {
     // replayed. Sampled spans (if any) witness the violations.
     const pmem::UpdateLog* updates = exp.update_log();
     const pmem::CheckReport chk = pmem::CheckPersistOrdering(
-        trace.streams, exp.pmr_base(), exp.pmr_end(), updates);
+        trace->streams, exp.pmr_base(), exp.pmr_end(), updates);
     std::printf("%s\n\n",
                 pmem::FormatCheckReport(
                     chk, span_log.empty() ? nullptr : &span_log).c_str());
