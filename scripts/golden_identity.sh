@@ -300,17 +300,19 @@ else
   fail=1
 fi
 # Sweep rows retire in completion order under --jobs=4, so (as with span
-# sidecars) the invariant is the sorted timeline sidecar lines.
+# sidecars) the invariant is the sorted interval sidecar lines: the
+# telemetry windows and, with --journal-phases=1, the phases.
 for j in 1 4; do
   build/tools/graphpim_sim --sweep="workloads=bfs;$GRID" --jobs="$j" \
-      --telemetry-window-ns=5000 --journal="$WORK/tl.j$j.jsonl" >/dev/null
-  grep '^{"timeline_for":' "$WORK/tl.j$j.jsonl" | sort \
+      --telemetry-window-ns=5000 --journal-phases=1 \
+      --journal="$WORK/tl.j$j.jsonl" >/dev/null
+  grep -E '^\{"(timeline|phases)_for":' "$WORK/tl.j$j.jsonl" | sort \
       > "$WORK/tl.j$j.sidecars"
 done
 if cmp -s "$WORK/tl.j1.sidecars" "$WORK/tl.j4.sidecars"; then
-  echo "   timeline sidecars: jobs-invariant"
+  echo "   timeline and phase sidecars: jobs-invariant"
 else
-  echo "golden_identity: FAIL — timeline sidecars differ across --jobs:" >&2
+  echo "golden_identity: FAIL — timeline or phase sidecars differ across --jobs:" >&2
   diff "$WORK/tl.j1.sidecars" "$WORK/tl.j4.sidecars" | head -20 >&2
   fail=1
 fi

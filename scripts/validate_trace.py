@@ -8,11 +8,13 @@ Accepts any mix of:
     non-negative ts, a numeric args dict, and non-rewinding timestamps per
     (pid, name) track.
   * JSONL files (--metrics-out=x.jsonl, --timeline-out, or a sweep
-    --journal): every line must parse as strict JSON; phase lines need
-    start_ns <= end_ns; span lines/objects need known stage names and
-    enter_ns <= exit_ns; telemetry window lines (and journal
-    {"timeline_for":...} sidecars) need contiguous indices per point and
-    monotonic, non-overlapping window timestamps.
+    --journal): every line must parse as strict JSON; phase lines (and the
+    phases of journal {"phases_for":...} sidecars) need start_ns <= end_ns,
+    and each phase must start where the previous one ended; span
+    lines/objects need known stage names and enter_ns <= exit_ns; telemetry
+    window lines (and journal {"timeline_for":...} sidecars) need
+    contiguous indices per point and monotonic, non-overlapping window
+    timestamps.
 
 Exits 0 when every file validates, 1 with a diagnostic otherwise. Stdlib
 only — runs anywhere CI has python3.
@@ -85,6 +87,25 @@ def check_chrome(path, doc):
     return True
 
 
+def check_phase(path, i, phase, prev_end):
+    """One phase interval; prev_end is where the previous phase of the same
+    log ended (None for the first). Returns this phase's end_ns, or None
+    when the phase fails."""
+    for key in ("phase", "start_ns", "end_ns", "deltas"):
+        if key not in phase:
+            fail(path, f"line {i}: phase missing key '{key}'")
+            return None
+    if phase["start_ns"] > phase["end_ns"]:
+        fail(path, f"line {i}: phase {phase['phase']} ends before it starts")
+        return None
+    if prev_end is not None and phase["start_ns"] != prev_end:
+        fail(path, f"line {i}: phase {phase['phase']} starts at "
+                   f"{phase['start_ns']}, not where the previous phase ended "
+                   f"({prev_end})")
+        return None
+    return phase["end_ns"]
+
+
 def check_window(path, i, obj, last_window):
     """One telemetry timeline line; last_window maps point -> (index, end)."""
     for key in ("window", "start_ns", "end_ns", "deltas", "gauges"):
@@ -119,6 +140,7 @@ def check_window(path, i, obj, last_window):
 
 def check_jsonl(path, lines):
     phases = spans = windows = rows = 0
+    phase_end = None  # end_ns of the file's previous phase line
     last_window = {}  # point -> (index, end_ns) across the file
     for i, line in enumerate(lines, 1):
         line = line.strip()
@@ -130,8 +152,18 @@ def check_jsonl(path, lines):
             return fail(path, f"line {i} is not strict JSON: {e}")
         if "phase" in obj:
             phases += 1
-            if obj["start_ns"] > obj["end_ns"]:
-                return fail(path, f"line {i}: phase ends before it starts")
+            phase_end = check_phase(path, i, obj, phase_end)
+            if phase_end is None:
+                return False
+        elif "phases_for" in obj:
+            # Journal sidecar: the embedded phases validate like phase
+            # lines, in order within this sidecar.
+            sidecar_end = None
+            for phase in obj.get("phases", []):
+                phases += 1
+                sidecar_end = check_phase(path, i, phase, sidecar_end)
+                if sidecar_end is None:
+                    return False
         elif "spans_for" in obj or "stages" in obj:
             group = obj.get("spans", [obj] if "stages" in obj else [])
             for span in group:
@@ -151,7 +183,7 @@ def check_jsonl(path, lines):
                 if not check_window(path, i, w, sidecar_last):
                     return False
         else:
-            rows += 1  # journal header / result rows / phase sidecars
+            rows += 1  # journal header / result rows
     print(f"validate_trace: {path}: OK "
           f"({phases} phases, {spans} spans, {windows} windows, "
           f"{rows} other lines)")

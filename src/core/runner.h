@@ -20,7 +20,6 @@
 
 #include "common/trace.h"
 #include "core/results.h"
-#include "telemetry/timeline.h"
 #include "core/sim_config.h"
 #include "graph/csr.h"
 #include "graph/generator.h"
@@ -31,13 +30,15 @@
 
 namespace graphpim::core {
 
-// Optional instrumentation attached to one simulation run.
+// Optional instrumentation attached to one simulation run. The two
+// interval logs follow one rule: a run overwrites each attached log, so a
+// log reused across runs holds only the last run's intervals.
 struct RunOptions {
-  // When non-null, the run cuts a phase at every BSP superstep boundary
-  // (the barrier rendezvous) plus a final drain phase, recording per-phase
-  // counter deltas of the whole merged registry. Not reset by the run;
-  // attach a fresh PhaseLog per run.
-  trace::PhaseLog* phases = nullptr;
+  // When non-null, receives a barrier log: one interval at every BSP
+  // superstep boundary (the barrier rendezvous) plus a final drain
+  // interval, each carrying the counter deltas of the whole merged
+  // registry.
+  trace::IntervalLog* phases = nullptr;
 
   // When non-null AND cfg.trace_sample_rate > 0, receives the run's
   // sampled transaction spans (overwritten, not appended). The recorder
@@ -53,12 +54,12 @@ struct RunOptions {
   // off.
   pmem::PersistLog* persist = nullptr;
 
-  // When non-null AND cfg.telemetry_window_ns > 0, receives the run's
-  // windowed counter/gauge timeline (DESIGN.md §17; cleared first). The
-  // sampler cuts windows at the end of each replay-loop round, so the
-  // timeline is bit-identical across reruns. With window_ns == 0 no
-  // sampler is built and this stays untouched.
-  telemetry::Timeline* timeline = nullptr;
+  // When non-null, receives a window log (DESIGN.md §17): windows of
+  // cfg.telemetry_window_ns carrying counter deltas and machine gauges,
+  // cut at the end of each replay-loop round, so the log is bit-identical
+  // across reruns. With window_ns == 0 no window log is built and this
+  // receives an empty log.
+  trace::IntervalLog* timeline = nullptr;
 };
 
 // THE simulation entry point. Replays `trace` under `cfg` (which is

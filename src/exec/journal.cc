@@ -1,5 +1,6 @@
 #include "exec/journal.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -249,64 +250,29 @@ void JournalWriter::Append(const SweepRow& row) {
   Write(RowToJson(row) + "\n");
 }
 
-void JournalWriter::AppendPhases(const SweepRow& row,
-                                 const trace::PhaseLog& log) {
+void JournalWriter::AppendIntervals(const std::string& kind,
+                                    const std::string& list,
+                                    const SweepRow& row,
+                                    const trace::IntervalLog& log) {
   if (f_ == nullptr || log.empty()) return;
-  // Sidecar line, keyed by the row's grid coordinates. LoadJournal skips
-  // these by prefix without counting them as dropped, so a phase-annotated
-  // journal resumes exactly like a plain one.
-  std::string s = SidecarHead("phases", row, "phases");
-  bool first = true;
-  for (const trace::PhaseRecord& ph : log.phases()) {
-    if (!first) s += ',';
-    first = false;
-    s += "{\"phase\":\"" + JsonEscape(ph.name) + "\"";
-    s += ",\"start_ns\":" + D(TicksToNs(ph.start));
-    s += ",\"end_ns\":" + D(TicksToNs(ph.end));
-    s += ",\"deltas\":{";
-    for (std::size_t i = 0; i < ph.deltas.size(); ++i) {
-      if (i != 0) s += ',';
-      s += '"' + JsonEscape(ph.deltas[i].first) +
-           "\":" + trace::FormatStatValue(ph.deltas[i].second);
-    }
-    s += "}}";
-  }
-  s += "]}\n";
-  Write(s);
+  // The sidecar embeds the --metrics-out / --timeline-out JSONL objects,
+  // so the formats stay in lockstep. A JSON string escapes every newline,
+  // so the only newlines are the line ends.
+  std::string body = trace::ToJsonl(log);
+  body.pop_back();
+  std::replace(body.begin(), body.end(), '\n', ',');
+  Write(SidecarHead(kind, row, list) + body + "]}\n");
 }
 
 void JournalWriter::AppendSpans(const SweepRow& row,
                                 const trace::SpanLog& log) {
   if (f_ == nullptr || log.empty()) return;
-  // Same sidecar convention as AppendPhases: keyed by grid coordinates,
-  // skipped by prefix on load.
   std::string s = SidecarHead("spans", row, "spans");
   bool first = true;
   for (const trace::SpanRecord& sp : log.spans) {
     if (!first) s += ',';
     first = false;
     s += trace::SpanToJson(sp);
-  }
-  s += "]}\n";
-  Write(s);
-}
-
-void JournalWriter::AppendTimeline(const SweepRow& row,
-                                   const telemetry::Timeline& tl) {
-  if (f_ == nullptr || tl.empty()) return;
-  // Same sidecar convention as AppendPhases: keyed by grid coordinates,
-  // skipped by prefix on load. Window bodies reuse the telemetry JSONL
-  // renderer so the sidecar and --timeline-out formats stay in lockstep.
-  std::string s = SidecarHead("timeline", row, "windows");
-  const std::string lines = telemetry::ToJsonl(tl);
-  bool first = true;
-  for (std::size_t pos = 0; pos < lines.size();) {
-    std::size_t nl = lines.find('\n', pos);
-    if (nl == std::string::npos) nl = lines.size();
-    if (!first) s += ',';
-    first = false;
-    s.append(lines, pos, nl - pos);
-    pos = nl + 1;
   }
   s += "]}\n";
   Write(s);
@@ -336,9 +302,9 @@ bool LoadJournal(const std::string& path, JournalData* out) {
       }
       continue;
     }
-    // Sidecar lines ({"phases_for":...}, {"spans_for":...}) are
-    // informational: not rows, not errors — skip without counting them as
-    // dropped.
+    // Sidecar lines ({"phases_for":...}, {"spans_for":...},
+    // {"timeline_for":...}) are per-row annotations: not rows, not errors —
+    // skip without counting them as dropped.
     if (line.compare(0, 14, "{\"phases_for\":") == 0) continue;
     if (line.compare(0, 13, "{\"spans_for\":") == 0) continue;
     if (line.compare(0, 16, "{\"timeline_for\":") == 0) continue;

@@ -22,7 +22,6 @@
 
 #include "common/trace.h"
 #include "exec/sweep.h"
-#include "telemetry/timeline.h"
 
 namespace graphpim::exec {
 
@@ -51,22 +50,20 @@ class JournalWriter {
   // Appends one finished OK row and flushes it.
   void Append(const SweepRow& row);
 
-  // Appends a `{"phases_for":{coords},"phases":[...]}` sidecar line with
-  // the row's per-superstep counter deltas. LoadJournal skips sidecar
-  // lines (they are annotations, not rows), so a resume neither needs nor
-  // loses them. No-op when the log is empty.
-  void AppendPhases(const SweepRow& row, const trace::PhaseLog& log);
+  // Appends a `{"<kind>_for":{coords},"<list>":[...]}` sidecar line whose
+  // list holds the log's trace::ToJsonl objects: "phases_for"/"phases" for
+  // the per-superstep log, "timeline_for"/"windows" for the telemetry
+  // windows. LoadJournal skips sidecar lines (they are per-row
+  // annotations, not rows), so a resume neither needs nor loses them.
+  // No-op when the log is empty.
+  void AppendIntervals(const std::string& kind, const std::string& list,
+                       const SweepRow& row, const trace::IntervalLog& log);
 
   // Appends a `{"spans_for":{coords},"spans":[...]}` sidecar line with the
   // row's sampled transaction spans (the flight-recorder output under
-  // trace.sample_rate > 0). Skipped by LoadJournal like phase sidecars.
-  // No-op when the log is empty.
+  // trace.sample_rate > 0). Skipped by LoadJournal like the interval
+  // sidecars. No-op when the log is empty.
   void AppendSpans(const SweepRow& row, const trace::SpanLog& log);
-
-  // Appends a `{"timeline_for":{coords},"windows":[...]}` sidecar line
-  // with the row's telemetry windows (telemetry.window_ns > 0). Skipped
-  // by LoadJournal like the other sidecars. No-op on an empty timeline.
-  void AppendTimeline(const SweepRow& row, const telemetry::Timeline& tl);
 
   void Close();
 

@@ -168,9 +168,9 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     std::optional<core::SimResults> results;  // empty on failure
     std::string error;
     double wall_ms = 0.0;
-    trace::PhaseLog phases;  // populated only when journaling phases
-    trace::SpanLog spans;    // populated when the config samples spans
-    telemetry::Timeline timeline;  // populated when telemetry.window_ns > 0
+    trace::IntervalLog phases;    // populated only when journaling phases
+    trace::SpanLog spans;         // populated when the config samples spans
+    trace::IntervalLog timeline;  // populated when telemetry.window_ns > 0
   };
 
   // Phase capture costs one registry merge per superstep, so only pay for
@@ -386,9 +386,9 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
         // Journal only freshly-computed OK rows: failed rows must be
         // retried by a resume, and restored rows are already on disk.
         writer.Append(row);
-        if (want_phases) writer.AppendPhases(row, out.phases);
-        if (!out.spans.empty()) writer.AppendSpans(row, out.spans);
-        if (!out.timeline.empty()) writer.AppendTimeline(row, out.timeline);
+        writer.AppendIntervals("phases", "phases", row, out.phases);
+        writer.AppendSpans(row, out.spans);
+        writer.AppendIntervals("timeline", "windows", row, out.timeline);
       } else {
         row.status = JobStatus::kFailed;
         row.error = out.error;

@@ -24,11 +24,11 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "common/trace.h"
 #include "core/sim_config.h"
 #include "exec/sweep.h"
 #include "serve/query.h"
 #include "serve/traffic.h"
-#include "telemetry/timeline.h"
 
 namespace graphpim::serve {
 
@@ -100,11 +100,11 @@ struct ServePoint {
   // batch replay (cache/cube/link counters aggregate across the point).
   StatRegistry raw;
 
-  // Virtual-time telemetry windows (DESIGN.md §17): filled only when
-  // cfg.telemetry_window_ns > 0. Windows carry gauges only (serve.*
+  // Virtual-time telemetry windows (DESIGN.md §17): a window log only
+  // when cfg.telemetry_window_ns > 0. Windows carry gauges only (serve.*
   // per-window arrivals/drops/latency quantiles/queue depth and per-tenant
-  // SLO burn); the batch replays inside a point never build samplers.
-  telemetry::Timeline timeline;
+  // SLO burn); the batch replays inside a point never build window logs.
+  trace::IntervalLog timeline;
 };
 
 // Runs one point to completion. Pure function; safe to call concurrently

@@ -126,7 +126,7 @@ std::string FormatKneeSummary(const std::vector<ServePoint>& points) {
 namespace {
 
 // Gauge lookup by name; windows carry a small fixed list, linear scan.
-double GaugeOr(const telemetry::TimelineWindow& w, const char* name,
+double GaugeOr(const trace::Interval& w, const char* name,
                double fallback = 0.0) {
   for (const auto& [k, v] : w.gauges) {
     if (k == name) return v;
@@ -136,9 +136,9 @@ double GaugeOr(const telemetry::TimelineWindow& w, const char* name,
 
 }  // namespace
 
-std::string TimelineNote(const telemetry::Timeline& tl) {
-  if (tl.windows.empty()) return "";
-  const telemetry::TimelineWindow& w = tl.windows.back();
+std::string TimelineNote(const trace::IntervalLog& tl) {
+  if (tl.empty()) return "";
+  const trace::Interval& w = tl.intervals().back();
   return StrFormat("qps=%.3g p99=%.0fus q=%.0f",
                    GaugeOr(w, "serve.achieved_qps"),
                    GaugeOr(w, "serve.p99_ns") / 1e3,
@@ -156,7 +156,9 @@ std::string FormatServeTimeline(const std::vector<ServePoint>& points) {
   for (const ServePoint& p : points) {
     const std::string name =
         StrFormat("%s@qps=%.0f", p.config_name.c_str(), p.qps);
-    for (const telemetry::TimelineWindow& w : p.timeline.windows) {
+    const std::vector<trace::Interval>& windows = p.timeline.intervals();
+    for (std::size_t i = 0; i < windows.size(); ++i) {
+      const trace::Interval& w = windows[i];
       std::string burn;
       for (const auto& [k, v] : w.gauges) {
         if (k.size() > 9 && k.compare(k.size() - 9, 9, ".slo_burn") == 0) {
@@ -167,7 +169,7 @@ std::string FormatServeTimeline(const std::vector<ServePoint>& points) {
       out += StrFormat(
           "%-24s %4llu %10.1f %5.0f %5.0f %5.0f %5.0f %9.2f %9.2f %4.0f "
           "%4.0f  %s\n",
-          name.c_str(), static_cast<unsigned long long>(w.index),
+          name.c_str(), static_cast<unsigned long long>(i),
           static_cast<double>(w.start) / (1e3 * kTicksPerNs),
           GaugeOr(w, "serve.arrivals"), GaugeOr(w, "serve.admitted"),
           GaugeOr(w, "serve.dropped"), GaugeOr(w, "serve.completed"),
@@ -175,19 +177,18 @@ std::string FormatServeTimeline(const std::vector<ServePoint>& points) {
           GaugeOr(w, "serve.queue_depth"), GaugeOr(w, "serve.inflight"),
           burn.c_str());
     }
-    if (p.timeline.dropped_windows > 0) {
+    if (p.timeline.dropped() > 0) {
       out += StrFormat("%-24s ... %llu windows past telemetry.max_windows "
                        "dropped\n",
                        name.c_str(),
-                       static_cast<unsigned long long>(
-                           p.timeline.dropped_windows));
+                       static_cast<unsigned long long>(p.timeline.dropped()));
     }
   }
   return out;
 }
 
-trace::PhaseLog BuildServePhases(const std::vector<ServePoint>& points) {
-  trace::PhaseLog log;
+trace::IntervalLog BuildServePhases(const std::vector<ServePoint>& points) {
+  trace::IntervalLog log;
   // Cut() records deltas against the previous cut, so feed it a running
   // accumulation of the points' registries: each phase's deltas are then
   // exactly that point's own contribution. Phases tile a synthetic

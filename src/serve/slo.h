@@ -54,7 +54,7 @@ std::string FormatKneeSummary(const std::vector<ServePoint>& points);
 // One-line telemetry note for the live heartbeat, from the last window of
 // a point's timeline: "qps=1.2e+06 p99=824us q=3". "" when the timeline
 // has no windows (telemetry off).
-std::string TimelineNote(const telemetry::Timeline& tl);
+std::string TimelineNote(const trace::IntervalLog& tl);
 
 // Deterministic per-point window table (DESIGN.md §17): one row per
 // telemetry window of every point, in point order. "" when no point
@@ -62,11 +62,11 @@ std::string TimelineNote(const telemetry::Timeline& tl);
 // the saturation markers, so the golden identity gates cover it.
 std::string FormatServeTimeline(const std::vector<ServePoint>& points);
 
-// Builds the --metrics-out phase log: one phase per point (named
-// "<config>@qps=<q>", duration = the point's simulated horizon) whose
-// deltas are exactly that point's registry contribution. Export through
-// trace::WriteTrace like every other tool.
-trace::PhaseLog BuildServePhases(const std::vector<ServePoint>& points);
+// Builds the --metrics-out phase log: a barrier log with one interval
+// per point (named "<config>@qps=<q>", duration = the point's simulated
+// horizon) whose deltas are exactly that point's registry contribution.
+// Export through trace::WriteTrace like every other tool.
+trace::IntervalLog BuildServePhases(const std::vector<ServePoint>& points);
 
 }  // namespace graphpim::serve
 

@@ -1,11 +1,16 @@
-# Runs graphpim_sim down one of the paths that swap the replayed trace
-# (CASE) and checks what it replays:
+# Runs graphpim_sim down one of the paths that swap the replayed trace or
+# cap its telemetry (CASE) and checks what it replays or reports:
 #
 #   TraceRoundTrip            a --trace-out run, then a --trace-in run of
 #                             that file, print the same cycles: lines;
 #   FuseReplaysTheFusedTrace  --fuse=1 reports fused comparison blocks and
 #                             replays a trace whose GraphPIM cycles differ
-#                             from the unfused run's.
+#                             from the unfused run's;
+#   TimelineCapReportsDroppedWindows
+#                             a run capped by --telemetry-max-windows keeps
+#                             that many windows, and its --timeline-out and
+#                             --metrics-out lines name the windows it
+#                             dropped.
 #
 # tests/CMakeLists.txt registers one CTest case per CASE:
 #
@@ -60,6 +65,36 @@ elseif(CASE STREQUAL "FuseReplaysTheFusedTrace")
     message(FATAL_ERROR "${CASE}: --fuse=1 replayed '${fused_cycles}', "
                         "the unfused run '${unfused_cycles}'")
   endif()
+elseif(CASE STREQUAL "TimelineCapReportsDroppedWindows")
+  set(run --workload=bfs --vertices=2048 --mode=graphpim
+          --telemetry-window-ns=5000)
+  run_sim(full ${run} --timeline-out=${WORK}/full.jsonl)
+  run_sim(capped ${run} --telemetry-max-windows=3
+          --timeline-out=${WORK}/capped.jsonl
+          --metrics-out=${WORK}/capped.json)
+  file(STRINGS "${WORK}/full.jsonl" full_windows)
+  file(STRINGS "${WORK}/capped.jsonl" kept_windows)
+  list(LENGTH full_windows total)
+  list(LENGTH kept_windows kept)
+  math(EXPR dropped "${total} - 3")
+  if(NOT kept EQUAL 3 OR dropped LESS 1)
+    message(FATAL_ERROR "${CASE}: kept ${kept} of ${total} windows, want 3 "
+                        "of more than 3")
+  endif()
+  string(FIND "${full}" "past telemetry.max_windows" at)
+  if(NOT at EQUAL -1)
+    message(FATAL_ERROR "${CASE}: the uncapped run reports dropped windows:\n${full}")
+  endif()
+  # The --timeline-out line, then the --metrics-out line.
+  set(note "; ${dropped} windows past telemetry.max_windows dropped\n")
+  foreach(line
+      "telemetry timeline (3 windows, mode GraphPIM) written to ${WORK}/capped.jsonl${note}"
+      "3 windows, mode GraphPIM) written to ${WORK}/capped.json${note}")
+    string(FIND "${capped}" "${line}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "${CASE}: no line ending '${line}' in:\n${capped}")
+    endif()
+  endforeach()
 else()
   message(FATAL_ERROR "unknown CASE '${CASE}'")
 endif()

@@ -554,7 +554,7 @@ TEST(FileWrite, FailuresThrowNamingThePath) {
       WriteDeterministicCsv(SweepResultTable{}, p);
     });
     expect_throw_naming(path, [](const std::string& p) {
-      trace::WriteTrace(trace::PhaseLog{}, p);
+      trace::WriteTrace(p, {}, "");
     });
     expect_throw_naming(path, [](const std::string& p) {
       workloads::SaveTrace(workloads::Trace{}, p);

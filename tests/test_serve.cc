@@ -554,12 +554,12 @@ TEST(ServeSlo, ServePhasesCarryPerPointDeltas) {
   p.traffic.qps = 2e6;
   ServePoint b = RunServePoint(sg, p);
   b.config_name = "GraphPIM";
-  const trace::PhaseLog log = BuildServePhases({a, b});
-  ASSERT_EQ(log.phases().size(), 2u);
-  EXPECT_EQ(log.phases()[0].name, "GraphPIM@qps=1000000");
-  EXPECT_EQ(log.phases()[1].name, "GraphPIM@qps=2000000");
+  const trace::IntervalLog log = BuildServePhases({a, b});
+  ASSERT_EQ(log.intervals().size(), 2u);
+  EXPECT_EQ(log.intervals()[0].name, "GraphPIM@qps=1000000");
+  EXPECT_EQ(log.intervals()[1].name, "GraphPIM@qps=2000000");
   // Each phase's serve.offered delta is that point's own offered count.
-  for (const auto& [k, v] : log.phases()[0].deltas) {
+  for (const auto& [k, v] : log.intervals()[0].deltas) {
     if (k == "serve.offered") {
       EXPECT_EQ(v, static_cast<double>(a.offered));
     }

@@ -125,12 +125,13 @@ TEST(SpanExport, JsonlLinesAreStrictJson) {
 }
 
 TEST(SpanExport, ChromeTraceWithSpansIsStrictJson) {
-  trace::PhaseLog phases;
+  trace::IntervalLog phases;
   StatRegistry reg;
   reg.Add("hmc.reads", 3.0);
   phases.Cut("superstep.0", 0, NsToTicks(40), reg);
   const trace::SpanLog spans = SmallLog();
-  const std::string chrome = trace::ToChromeTrace(phases, &spans);
+  const std::string chrome = trace::ToChromeTrace(
+      {trace::ToChromeEvents(phases), trace::SpansToChromeEvents(spans)});
   EXPECT_NO_THROW(json::Parse(chrome)) << chrome;
   // Span tracks ride their own pids next to the phase track.
   EXPECT_NE(chrome.find("\"name\":\"cores\""), std::string::npos);
@@ -142,13 +143,15 @@ TEST(SpanExport, EmptyChromeTraceIsValidAndExact) {
   // Regression: an empty phase log (e.g. --metrics-out on a run with no
   // barrier) must still emit a strict-JSON document with an empty
   // traceEvents array, not a dangling "[\n".
-  trace::PhaseLog empty;
-  const std::string chrome = trace::ToChromeTrace(empty);
+  const trace::IntervalLog empty;
+  const std::string chrome = trace::ToChromeTrace(
+      {trace::ToChromeEvents(empty), trace::SpansToChromeEvents({})});
   EXPECT_EQ(chrome, "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[]}\n");
   EXPECT_NO_THROW(json::Parse(chrome));
   // And the same through the file writer.
   const std::string path = ::testing::TempDir() + "/gp_empty_trace.json";
-  trace::WriteTrace(empty, path);
+  trace::WriteTrace(path, {trace::ToChromeEvents(empty)},
+                    trace::ToJsonl(empty));
   std::ifstream in(path);
   std::stringstream buf;
   buf << in.rdbuf();
@@ -157,11 +160,12 @@ TEST(SpanExport, EmptyChromeTraceIsValidAndExact) {
 }
 
 TEST(SpanExport, NonEmptyPhaseOnlyTraceIsStrictJson) {
-  trace::PhaseLog phases;
+  trace::IntervalLog phases;
   StatRegistry reg;
   reg.Add("core.insts", 10.0);
   phases.Cut("superstep.0", 0, NsToTicks(10), reg);
-  EXPECT_NO_THROW(json::Parse(trace::ToChromeTrace(phases)));
+  EXPECT_NO_THROW(
+      json::Parse(trace::ToChromeTrace({trace::ToChromeEvents(phases)})));
 }
 
 TEST(SpanStats, FoldProducesPerStageAndAtomicFamilies) {

@@ -1,8 +1,8 @@
-// src/telemetry tests (DESIGN.md §17): WindowSampler boundary math, the
-// JSONL/Chrome-counter exporters, the sink-required config gate, windowed
-// end-to-end runs (delta conservation, rerun determinism, strict
-// off-identity), serve per-window gauges, the journal timeline sidecar,
-// and the run-comparison engine behind tools/graphpim_compare.
+// Telemetry tests (DESIGN.md §17): the interval log's window policy
+// (boundary math, gauges, the cap), the window exporters, the
+// sink-required config gate, windowed end-to-end runs (rerun determinism,
+// strict off-identity), serve per-window gauges, the journal timeline
+// sidecar, and the run-comparison engine behind tools/graphpim_compare.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +14,7 @@
 #include "common/config.h"
 #include "common/log.h"
 #include "common/stats.h"
+#include "common/trace.h"
 #include "core/report.h"
 #include "core/runner.h"
 #include "core/sim_config.h"
@@ -22,123 +23,115 @@
 #include "serve/engine.h"
 #include "serve/slo.h"
 #include "telemetry/compare.h"
-#include "telemetry/timeline.h"
 
 namespace graphpim {
 namespace {
 
 // ---------------------------------------------------------------------------
-// WindowSampler units.
+// Window policy units.
 
-TEST(WindowSampler, CutsAtBoundariesAndAttachesDeltasToFirstWindow) {
+TEST(WindowLog, CutsAtBoundariesAndAttachesDeltasToFirstWindow) {
   StatRegistry reg;
-  telemetry::Timeline tl;
-  telemetry::WindowSampler ws(100, &tl, 0, {});
+  trace::IntervalLog tl(100, 0, {});
+  const std::vector<trace::Interval>& w = tl.intervals();
 
   reg.Add("x", 5.0);
-  ws.AdvanceTo(50, reg);
-  EXPECT_TRUE(tl.windows.empty());  // boundary 100 not reached
-  EXPECT_EQ(ws.next_boundary(), 100u);
+  tl.AdvanceTo(50, &reg);
+  EXPECT_TRUE(tl.empty());  // boundary 100 not reached
+  EXPECT_EQ(tl.next_boundary(), 100u);
 
-  ws.AdvanceTo(100, reg);
-  ASSERT_EQ(tl.windows.size(), 1u);
-  EXPECT_EQ(tl.windows[0].index, 0u);
-  EXPECT_EQ(tl.windows[0].start, 0u);
-  EXPECT_EQ(tl.windows[0].end, 100u);
-  ASSERT_EQ(tl.windows[0].deltas.size(), 1u);
-  EXPECT_EQ(tl.windows[0].deltas[0].first, "x");
-  EXPECT_DOUBLE_EQ(tl.windows[0].deltas[0].second, 5.0);
+  tl.AdvanceTo(100, &reg);
+  ASSERT_EQ(w.size(), 1u);
+  EXPECT_EQ(w[0].start, 0u);
+  EXPECT_EQ(w[0].end, 100u);
+  ASSERT_EQ(w[0].deltas.size(), 1u);
+  EXPECT_EQ(w[0].deltas[0].first, "x");
+  EXPECT_DOUBLE_EQ(w[0].deltas[0].second, 5.0);
 
   // One quantum jumps two boundaries: the accrued delta attaches to the
   // first window of the span, the second stays empty (virtual time inside
   // a quantum is not subdividable after the fact).
   reg.Add("x", 2.0);
-  ws.AdvanceTo(350, reg);
-  ASSERT_EQ(tl.windows.size(), 3u);
-  EXPECT_EQ(tl.windows[1].end, 200u);
-  ASSERT_EQ(tl.windows[1].deltas.size(), 1u);
-  EXPECT_DOUBLE_EQ(tl.windows[1].deltas[0].second, 2.0);
-  EXPECT_TRUE(tl.windows[2].deltas.empty());
-  EXPECT_EQ(ws.next_boundary(), 400u);
+  tl.AdvanceTo(350, &reg);
+  ASSERT_EQ(w.size(), 3u);
+  EXPECT_EQ(w[1].end, 200u);
+  ASSERT_EQ(w[1].deltas.size(), 1u);
+  EXPECT_DOUBLE_EQ(w[1].deltas[0].second, 2.0);
+  EXPECT_TRUE(w[2].deltas.empty());
+  EXPECT_EQ(tl.next_boundary(), 400u);
 
   // Finish flushes the trailing partial window up to the final tick.
   reg.Add("x", 1.0);
-  ws.Finish(370, reg);
-  ASSERT_EQ(tl.windows.size(), 4u);
-  EXPECT_EQ(tl.windows[3].start, 300u);
-  EXPECT_EQ(tl.windows[3].end, 370u);
-  ASSERT_EQ(tl.windows[3].deltas.size(), 1u);
-  EXPECT_DOUBLE_EQ(tl.windows[3].deltas[0].second, 1.0);
+  tl.Finish(370, &reg);
+  ASSERT_EQ(w.size(), 4u);
+  EXPECT_EQ(w[3].start, 300u);
+  EXPECT_EQ(w[3].end, 370u);
+  ASSERT_EQ(w[3].deltas.size(), 1u);
+  EXPECT_DOUBLE_EQ(w[3].deltas[0].second, 1.0);
 
   // Idempotent: a second Finish adds nothing.
-  ws.Finish(370, reg);
-  EXPECT_EQ(tl.windows.size(), 4u);
+  tl.Finish(370, &reg);
+  EXPECT_EQ(w.size(), 4u);
 }
 
-TEST(WindowSampler, TelemetryOnAlwaysYieldsAtLeastOneWindow) {
+TEST(WindowLog, TelemetryOnAlwaysYieldsAtLeastOneWindow) {
   StatRegistry reg;
-  telemetry::Timeline tl;
-  telemetry::WindowSampler ws(1000, &tl, 0, {});
-  ws.Finish(0, reg);  // degenerate run: no tick ever advanced
-  ASSERT_EQ(tl.windows.size(), 1u);
-  EXPECT_EQ(tl.windows[0].start, 0u);
-  EXPECT_EQ(tl.windows[0].end, 0u);
+  trace::IntervalLog tl(1000, 0, {});
+  tl.Finish(0, &reg);  // degenerate run: no tick ever advanced
+  ASSERT_EQ(tl.intervals().size(), 1u);
+  EXPECT_EQ(tl.intervals()[0].start, 0u);
+  EXPECT_EQ(tl.intervals()[0].end, 0u);
 }
 
-TEST(WindowSampler, GaugeSamplerRunsPerCutInEmissionOrder) {
-  StatRegistry reg;
-  telemetry::Timeline tl;
+TEST(WindowLog, GaugeSamplerRunsPerCutInEmissionOrder) {
   std::vector<std::pair<Tick, Tick>> seen;
-  telemetry::WindowSampler ws(
-      100, &tl, 0,
-      [&](Tick s, Tick e, std::vector<std::pair<std::string, double>>* out) {
-        seen.emplace_back(s, e);
-        out->emplace_back("z.gauge", 2.0);
-        out->emplace_back("a.gauge", 1.0);  // emission order, NOT sorted
-      });
-  ws.AdvanceTo(200, reg);
-  ws.Finish(250, reg);
-  ASSERT_EQ(tl.windows.size(), 3u);
+  trace::IntervalLog tl(100, 0, [&](Tick s, Tick e, trace::Items* out) {
+    seen.emplace_back(s, e);
+    out->emplace_back("z.gauge", 2.0);
+    out->emplace_back("a.gauge", 1.0);  // emission order, NOT sorted
+  });
+  // No registry: gauges-only windows, as the serve loop cuts them.
+  tl.AdvanceTo(200, nullptr);
+  tl.Finish(250, nullptr);
+  ASSERT_EQ(tl.intervals().size(), 3u);
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0], (std::pair<Tick, Tick>{0, 100}));
   EXPECT_EQ(seen[2], (std::pair<Tick, Tick>{200, 250}));
-  ASSERT_EQ(tl.windows[0].gauges.size(), 2u);
-  EXPECT_EQ(tl.windows[0].gauges[0].first, "z.gauge");
-  EXPECT_EQ(tl.windows[0].gauges[1].first, "a.gauge");
+  const trace::Interval& w0 = tl.intervals()[0];
+  EXPECT_TRUE(w0.deltas.empty());
+  ASSERT_EQ(w0.gauges.size(), 2u);
+  EXPECT_EQ(w0.gauges[0].first, "z.gauge");
+  EXPECT_EQ(w0.gauges[1].first, "a.gauge");
 }
 
-TEST(WindowSampler, MaxWindowsCapCountsDroppedCuts) {
+TEST(WindowLog, MaxWindowsCapCountsDroppedCuts) {
   StatRegistry reg;
-  telemetry::Timeline tl;
-  telemetry::WindowSampler ws(100, &tl, 2, {});
-  ws.AdvanceTo(400, reg);  // four boundaries
-  EXPECT_EQ(tl.windows.size(), 2u);
-  EXPECT_EQ(tl.dropped_windows, 2u);
+  trace::IntervalLog tl(100, 2, {});
+  tl.AdvanceTo(400, &reg);  // four boundaries
+  EXPECT_EQ(tl.intervals().size(), 2u);
+  EXPECT_EQ(tl.dropped(), 2u);
 }
 
 // ---------------------------------------------------------------------------
 // Exporters.
 
-telemetry::Timeline TinyTimeline() {
-  telemetry::Timeline tl;
-  tl.window_ticks = 100;
-  telemetry::TimelineWindow w;
-  w.index = 0;
-  w.start = 0;
-  w.end = 100;
-  w.deltas.emplace_back("core.insts", 42.0);
-  w.gauges.emplace_back("tele.link.occupancy", 0.5);
-  tl.windows.push_back(w);
-  w.index = 1;
-  w.start = 100;
-  w.end = 150;
-  tl.windows.push_back(w);
+// Two windows, [0,100) and the trailing [100,150), each with one delta
+// and one gauge.
+trace::IntervalLog TinyTimeline() {
+  trace::IntervalLog tl(100, 0, [](Tick, Tick, trace::Items* out) {
+    out->emplace_back("tele.link.occupancy", 0.5);
+  });
+  StatRegistry reg;
+  reg.Add("core.insts", 42.0);
+  tl.AdvanceTo(100, &reg);
+  reg.Add("core.insts", 42.0);
+  tl.Finish(150, &reg);
   return tl;
 }
 
 TEST(TimelineExport, JsonlCarriesWindowFieldsAndOptionalPoint) {
-  const telemetry::Timeline tl = TinyTimeline();
-  const std::string plain = telemetry::ToJsonl(tl);
+  const trace::IntervalLog tl = TinyTimeline();
+  const std::string plain = trace::ToJsonl(tl);
   EXPECT_NE(plain.find("{\"window\":0,\"start_ns\":0.000"), std::string::npos)
       << plain;
   EXPECT_NE(plain.find("\"deltas\":{\"core.insts\":42}"), std::string::npos);
@@ -146,30 +139,32 @@ TEST(TimelineExport, JsonlCarriesWindowFieldsAndOptionalPoint) {
             std::string::npos);
   EXPECT_EQ(plain.find("\"point\""), std::string::npos);
 
-  const std::string pointed = telemetry::ToJsonl(tl, "GraphPIM@qps=1e6");
+  const std::string pointed = trace::ToJsonl(tl, "GraphPIM@qps=1e6");
   EXPECT_EQ(pointed.rfind("{\"point\":\"GraphPIM@qps=1e6\",", 0), 0u)
       << pointed;
-  EXPECT_TRUE(telemetry::ToJsonl(telemetry::Timeline{}).empty());
+  EXPECT_TRUE(trace::ToJsonl(trace::IntervalLog{}).empty());
 }
 
-TEST(TimelineExport, ChromeCounterEventsSpliceAndNamespace) {
-  const telemetry::Timeline tl = TinyTimeline();
-  const std::string ev = telemetry::ChromeCounterEvents(tl);
+TEST(TimelineExport, ChromeEventsSpliceAndNamespace) {
+  const trace::IntervalLog tl = TinyTimeline();
+  const std::string ev = trace::ToChromeEvents(tl);
   // Splice convention: each event prefixed "\n", events joined ",".
   EXPECT_EQ(ev.rfind("\n{", 0), 0u) << ev;
   EXPECT_NE(ev.find("\"ph\":\"C\""), std::string::npos);
+  // Windows render counter tracks only, no phase slices.
+  EXPECT_EQ(ev.find("\"ph\":\"X\""), std::string::npos);
   // Counter deltas get a tele: track prefix; gauges keep their names.
   EXPECT_NE(ev.find("\"name\":\"tele:core.insts\""), std::string::npos);
   EXPECT_NE(ev.find("\"name\":\"tele.link.occupancy\""), std::string::npos);
-  const std::string scoped = telemetry::ChromeCounterEvents(tl, "p1|");
+  const std::string scoped = trace::ToChromeEvents(tl, "p1|");
   EXPECT_NE(scoped.find("\"name\":\"p1|tele:core.insts\""), std::string::npos);
-  EXPECT_TRUE(telemetry::ChromeCounterEvents(telemetry::Timeline{}).empty());
+  EXPECT_TRUE(trace::ToChromeEvents(trace::IntervalLog{}).empty());
 }
 
 TEST(TimelineExport, RequireSinkGatesOnWindowAndSink) {
-  EXPECT_NO_THROW(telemetry::RequireSink(0.0, false, "hint"));
-  EXPECT_NO_THROW(telemetry::RequireSink(100.0, true, "hint"));
-  EXPECT_THROW(telemetry::RequireSink(100.0, false, "hint"), SimError);
+  EXPECT_NO_THROW(trace::RequireSink(0.0, false, "hint"));
+  EXPECT_NO_THROW(trace::RequireSink(100.0, true, "hint"));
+  EXPECT_THROW(trace::RequireSink(100.0, false, "hint"), SimError);
 }
 
 // ---------------------------------------------------------------------------
@@ -216,44 +211,14 @@ core::Experiment TinyExperiment() {
   return core::Experiment("ldbc", 512, "bfs", eo);
 }
 
-TEST(TelemetryEndToEnd, WindowDeltasConserveRunTotals) {
-  const core::Experiment exp = TinyExperiment();
-  telemetry::Timeline tl;
-  core::RunOptions ro;
-  ro.timeline = &tl;
-  const core::SimResults r = exp.Run(WindowedConfig(2000.0), ro);
-
-  ASSERT_FALSE(tl.empty());
-  double insts = 0.0;
-  double atomics = 0.0;
-  for (std::size_t i = 0; i < tl.windows.size(); ++i) {
-    const telemetry::TimelineWindow& w = tl.windows[i];
-    EXPECT_EQ(w.index, i);
-    EXPECT_LE(w.start, w.end);
-    if (i > 0) {
-      EXPECT_EQ(w.start, tl.windows[i - 1].end);
-    }
-    EXPECT_FALSE(w.gauges.empty());
-    EXPECT_EQ(w.gauges[0].first, "tele.pou.inflight");
-    for (const auto& [k, v] : w.deltas) {
-      if (k == "core.insts") insts += v;
-      if (k == "core.atomics") atomics += v;
-    }
-  }
-  // Finish() flushes through the final tick, so per-window deltas sum to
-  // the run totals exactly.
-  EXPECT_DOUBLE_EQ(insts, static_cast<double>(r.insts));
-  EXPECT_DOUBLE_EQ(atomics, static_cast<double>(r.atomics));
-}
-
 TEST(TelemetryEndToEnd, TimelineIsBitIdenticalAcrossReruns) {
   const core::Experiment exp = TinyExperiment();
   auto run = [&]() {
-    telemetry::Timeline tl;
+    trace::IntervalLog tl;
     core::RunOptions ro;
     ro.timeline = &tl;
     exp.Run(WindowedConfig(2000.0), ro);
-    return telemetry::ToJsonl(tl);
+    return trace::ToJsonl(tl);
   };
   const std::string first = run();
   ASSERT_FALSE(first.empty());
@@ -262,11 +227,13 @@ TEST(TelemetryEndToEnd, TimelineIsBitIdenticalAcrossReruns) {
 
 TEST(TelemetryEndToEnd, OffIsIdentityAndLeavesTimelineUntouched) {
   const core::Experiment exp = TinyExperiment();
-  telemetry::Timeline tl;
+  trace::IntervalLog tl;
   core::RunOptions ro;
   ro.timeline = &tl;
   const core::SimResults off = exp.Run(WindowedConfig(0.0), ro);
-  EXPECT_TRUE(tl.empty());  // no sampler was ever constructed
+  // No window log was built: the run leaves an empty log.
+  EXPECT_TRUE(tl.empty());
+  EXPECT_FALSE(tl.windowed());
 
   const core::SimResults plain = exp.Run(WindowedConfig(0.0));
   EXPECT_EQ(core::ToJson(off), core::ToJson(plain));
@@ -317,7 +284,7 @@ TEST(ServeTelemetry, WindowGaugesConservePointTotals) {
   double completed = 0.0;
   double dropped = 0.0;
   bool saw_burn = false;
-  for (const telemetry::TimelineWindow& w : pt.timeline.windows) {
+  for (const trace::Interval& w : pt.timeline.intervals()) {
     EXPECT_TRUE(w.deltas.empty());  // serve windows are gauges-only
     for (const auto& [k, v] : w.gauges) {
       if (k == "serve.arrivals") arrivals += v;
@@ -339,7 +306,7 @@ TEST(ServeTelemetry, WindowGaugesConservePointTotals) {
   const std::string note = serve::TimelineNote(pt.timeline);
   EXPECT_EQ(note.rfind("qps=", 0), 0u) << note;
   EXPECT_NE(note.find("p99="), std::string::npos);
-  EXPECT_TRUE(serve::TimelineNote(telemetry::Timeline{}).empty());
+  EXPECT_TRUE(serve::TimelineNote(trace::IntervalLog{}).empty());
 }
 
 TEST(ServeTelemetry, WindowTableIsJobsInvariantAndOffIsSilent) {
@@ -366,6 +333,20 @@ TEST(ServeTelemetry, WindowTableIsJobsInvariantAndOffIsSilent) {
   const serve::ServePoint pt = serve::RunServePoint(sg, off);
   EXPECT_TRUE(pt.timeline.empty());
   EXPECT_TRUE(serve::FormatServeTimeline({pt}).empty());
+}
+
+// telemetry.max_windows=0 means unbounded, in serve as in the replay loop.
+TEST(ServeTelemetry, MaxWindowsZeroIsUnbounded) {
+  const serve::ServedGraph sg(TinyServedGraph());
+  serve::ServeParams p = WindowedServeParams(20'000.0, 10'000.0);
+  const serve::ServePoint capped = serve::RunServePoint(sg, p);
+  p.cfg.telemetry_max_windows = 0;
+  const serve::ServePoint unbounded = serve::RunServePoint(sg, p);
+  ASSERT_FALSE(capped.timeline.empty());
+  EXPECT_EQ(capped.timeline.dropped(), 0u);
+  EXPECT_EQ(trace::ToJsonl(unbounded.timeline),
+            trace::ToJsonl(capped.timeline));
+  EXPECT_EQ(unbounded.timeline.dropped(), 0u);
 }
 
 TEST(ServeTelemetry, NegativeSloIsRejected) {
@@ -450,7 +431,7 @@ TEST(CompareEngine, FlattensDocumentsAndJsonl) {
 
   // JSONL lines key by their identity fields.
   const telemetry::FlatRun tl = telemetry::FlattenRunJson(
-      telemetry::ToJsonl(TinyTimeline(), "p1"));
+      trace::ToJsonl(TinyTimeline(), "p1"));
   EXPECT_NE(tl.Find("point.p1.window.0.deltas.core.insts"), nullptr);
   EXPECT_NE(tl.Find("point.p1.window.1.gauges.tele.link.occupancy"), nullptr);
 
