@@ -237,9 +237,9 @@ std::string SpansToChromeEvents(const SpanLog& log) {
     out += "\n";
     out += event;
   };
-  // Track naming: pid 1 holds the phase timeline (see ToChromeTrace),
-  // pid 2 one row per core, pid 3 one row per cube, pid 4 one row per
-  // vault track.
+  // Track naming: pid 1 holds the phase and telemetry tracks (see
+  // ToChromeEvents), pid 2 one row per core, pid 3 one row per cube, pid 4
+  // one row per vault track.
   emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,"
        "\"args\":{\"name\":\"cores\"}}");
   emit("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":3,"

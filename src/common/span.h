@@ -160,9 +160,9 @@ std::string SpanToJson(const SpanRecord& sp);
 //    "exit_ns":...}]}
 std::string SpansToJsonl(const SpanLog& log);
 
-// The same spans as a comma-joined fragment of Chrome-trace events (no
-// enclosing brackets), one track per core/cube/vault; used by
-// ToChromeTrace to merge spans under the phase track.
+// The same spans as a fragment of Chrome-trace events (no enclosing
+// brackets), one track per core/cube/vault, in the splice convention
+// ToChromeTrace assembles beside the interval logs' fragments.
 std::string SpansToChromeEvents(const SpanLog& log);
 
 }  // namespace graphpim::trace
