@@ -85,7 +85,7 @@ void BM_CsrBuild(benchmark::State& state) {
     benchmark::DoNotOptimize(g.num_edges());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(el.edges.size()));
+                          static_cast<std::int64_t>(el.size()));
 }
 BENCHMARK(BM_CsrBuild);
 

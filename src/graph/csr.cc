@@ -45,14 +45,15 @@ std::uint64_t* SortKeys(std::uint64_t* keys, std::uint64_t* tmp, std::size_t len
 }
 
 // Steps 2-4 of the build (see CsrGraph::CsrGraph) into `neighbors` and
-// `weights`, whose element type W is the host weight width. `offsets`
-// holds the per-source prefix sums on entry and the final offsets on
-// return; every weight fits `wbits` bits, and so W.
+// `weights`, which it holds at the host weight width W. `offsets` holds
+// the per-source prefix sums on entry and the final offsets on return;
+// every weight fits `wbits` bits, and so W.
 template <typename W>
 void SortBlocks(const EdgeList& el, bool dedup, unsigned wbits,
                 std::vector<EdgeId>& offsets, std::vector<VertexId>& neighbors,
-                std::vector<W>& weights) {
+                WeightColumn& weights) {
   const std::size_t n = el.num_vertices;
+  const std::size_t m = el.size();
   // The slot (low << dbits | dst) must fit a VertexId, so the key
   // (slot << wbits | weight) always fits 64 bits; ten low bits make
   // 1024-source blocks.
@@ -62,17 +63,20 @@ void SortBlocks(const EdgeList& el, bool dedup, unsigned wbits,
 
   std::vector<EdgeId> cursor(num_blocks);
   for (std::size_t b = 0; b < num_blocks; ++b) cursor[b] = offsets[b << lbits];
-  neighbors.resize(el.edges.size());
-  weights.resize(el.edges.size());
+  neighbors.resize(m);
   VertexId* np = neighbors.data();
-  W* wp = weights.data();
+  W* wp = weights.Resize<W>(m);
   const VertexId low_mask = (VertexId{1} << lbits) - 1;
-  for (const Edge& e : el.edges) {
-    const EdgeId at = cursor[e.src >> lbits]++;
-    // 64-bit shift: dbits is 32 (and the low bits empty) past 2^31 vertices.
-    np[at] = static_cast<VertexId>(std::uint64_t{e.src & low_mask} << dbits) | e.dst;
-    wp[at] = static_cast<W>(e.weight);
-  }
+  const VertexId* src = el.src.data();
+  const VertexId* dst = el.dst.data();
+  el.weight.Visit([&](auto in) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const EdgeId at = cursor[src[i] >> lbits]++;
+      // 64-bit shift: dbits is 32 (and the low bits empty) past 2^31 vertices.
+      np[at] = static_cast<VertexId>(std::uint64_t{src[i] & low_mask} << dbits) | dst[i];
+      wp[at] = static_cast<W>(in[i]);
+    }
+  });
 
   const unsigned key_bits = lbits + dbits + wbits;
   const std::uint64_t dst_mask = (std::uint64_t{1} << dbits) - 1;
@@ -113,7 +117,7 @@ void SortBlocks(const EdgeList& el, bool dedup, unsigned wbits,
     begin = end;
   }
   neighbors.resize(out);
-  weights.resize(out);
+  weights.Resize<W>(out);
 }
 
 }  // namespace
@@ -134,25 +138,33 @@ void SortBlocks(const EdgeList& el, bool dedup, unsigned wbits,
 // Blocks are in source order and `low` orders the sources inside a block,
 // so the result is exactly a per-source sort by (dst, weight). The edge
 // list, the neighbors and the weights are alive together in step 2, which
-// is the build's peak; one-byte weights are what lower it.
+// is the build's peak; one-byte weights in the edge list and in the CSR
+// are what lower it.
 CsrGraph::CsrGraph(const EdgeList& el, AddressSpace& space, bool dedup)
     : num_vertices_(el.num_vertices) {
   GP_CHECK(num_vertices_ > 0, "empty graph");
+  const std::size_t m = el.size();
+  GP_CHECK(el.dst.size() == m && el.weight.size() == m,
+           "edge list columns differ in length");
 
   offsets_.assign(std::size_t{num_vertices_} + 1, 0);
-  std::uint32_t weight_bits = 0;  // OR of all weights: same bit width as the max
-  for (const Edge& e : el.edges) {
-    GP_CHECK(e.src < num_vertices_ && e.dst < num_vertices_, "edge endpoint out of range");
-    ++offsets_[e.src + 1];
-    weight_bits |= e.weight;
+  for (std::size_t i = 0; i < m; ++i) {
+    GP_CHECK(el.src[i] < num_vertices_ && el.dst[i] < num_vertices_,
+             "edge endpoint out of range");
+    ++offsets_[el.src[i] + 1];
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  std::uint32_t weight_bits = 0;  // OR of all weights: same bit width as the max
+  el.weight.Visit([&](auto w) {
+    for (const std::uint32_t x : w) weight_bits |= x;
+  });
 
+  // The widest weight picks the host width, whatever the column's width.
   const auto wbits = static_cast<unsigned>(std::bit_width(weight_bits));
   if (wbits <= 8) {
-    SortBlocks(el, dedup, wbits, offsets_, neighbors_, narrow_weights_);
+    SortBlocks<std::uint8_t>(el, dedup, wbits, offsets_, neighbors_, weights_);
   } else {
-    SortBlocks(el, dedup, wbits, offsets_, neighbors_, wide_weights_);
+    SortBlocks<std::uint32_t>(el, dedup, wbits, offsets_, neighbors_, weights_);
   }
 
   // The simulated layout keeps four bytes per weight at either host width.
@@ -168,7 +180,7 @@ std::uint64_t CsrGraph::StructureBytes() const {
 
 std::uint64_t CsrGraph::HostBytes() const {
   return offsets_.size() * sizeof(EdgeId) + neighbors_.size() * sizeof(VertexId) +
-         narrow_weights_.size() + wide_weights_.size() * sizeof(std::uint32_t);
+         weights_.HostBytes();
 }
 
 }  // namespace graphpim::graph

@@ -7,10 +7,12 @@
 // Host width against simulated width: the simulated machine always lays a
 // weight out in four bytes (WeightAddr, StructureBytes and the structure
 // segment count four), so traces and cycle counts do not depend on how
-// the host stores it. The host copy takes one byte per weight when the
-// widest weight fits in eight bits, as every generated graph's 1-16
-// weights do, and four bytes otherwise (a loaded edge list may carry any
-// uint32 weight). Weight(e) reads either; HostBytes() counts what is held.
+// the host stores it. The host copy is a WeightColumn of one byte per
+// weight when the widest weight in the edge list fits in eight bits, as
+// every generated graph's 1-16 weights do, and four bytes otherwise (a
+// loaded edge list may carry any uint32 weight). The width follows the
+// weights' values, not the edge list column's width. Weight(e) reads
+// either; HostBytes() counts what is held.
 #ifndef GRAPHPIM_GRAPH_CSR_H_
 #define GRAPHPIM_GRAPH_CSR_H_
 
@@ -46,9 +48,7 @@ class CsrGraph {
   }
 
   // The weight of edge `e` (an id in [OffsetOf(v), OffsetOf(v + 1))).
-  std::uint32_t Weight(EdgeId e) const {
-    return wide_weights_.empty() ? narrow_weights_[e] : wide_weights_[e];
-  }
+  std::uint32_t Weight(EdgeId e) const { return weights_[e]; }
 
   // Simulated addresses of the structure arrays.
   Addr OffsetAddr(VertexId v) const { return offsets_addr_ + v * sizeof(EdgeId); }
@@ -67,9 +67,7 @@ class CsrGraph {
   VertexId num_vertices_;
   std::vector<EdgeId> offsets_;         // size n+1
   std::vector<VertexId> neighbors_;     // size m
-  // Exactly one holds the m weights; both are empty without edges.
-  std::vector<std::uint8_t> narrow_weights_;
-  std::vector<std::uint32_t> wide_weights_;
+  WeightColumn weights_;                // size m
   Addr offsets_addr_;
   Addr neighbors_addr_;
   Addr weights_addr_;

@@ -64,7 +64,7 @@ void DrawRmatEdges(EdgeList& el, Rng& rng, std::uint64_t target,
   // per edge. Same seed, same sequence — the caller's generator resumes
   // from the copied-back state exactly where a by-reference loop would.
   Rng local = rng;
-  while (el.edges.size() < target) {
+  while (el.size() < target) {
     Edge e = RmatEdge(local, scale, thresholds);
     if (cap != 0) {
       // Redirect endpoints whose degree budget is exhausted to uniform
@@ -82,7 +82,7 @@ void DrawRmatEdges(EdgeList& el, Rng& rng, std::uint64_t target,
       ++in_deg[e.dst];
     }
     e.weight = 1 + static_cast<std::uint32_t>(local.NextBounded(max_weight));
-    el.edges.push_back(e);
+    el.push_back(e);
   }
   rng = local;
 }
@@ -101,7 +101,7 @@ EdgeList GenerateRmat(const RmatParams& params) {
   std::uint32_t scale = static_cast<std::uint32_t>(std::countr_zero(el.num_vertices));
   std::uint64_t target = static_cast<std::uint64_t>(
       params.avg_degree * static_cast<double>(el.num_vertices) + 0.5);
-  el.edges.reserve(target);
+  el.reserve(target);
   Rng rng(params.seed);
   std::uint32_t cap = 0;
   if (params.max_degree_factor > 0) {
@@ -128,10 +128,8 @@ EdgeList GenerateRmat(const RmatParams& params) {
     std::uint64_t j = rng.NextBounded(v);
     std::swap(perm[v - 1], perm[j]);
   }
-  for (Edge& e : el.edges) {
-    e.src = perm[e.src];
-    e.dst = perm[e.dst];
-  }
+  for (VertexId& v : el.src) v = perm[v];
+  for (VertexId& v : el.dst) v = perm[v];
   return el;
 }
 
@@ -141,13 +139,13 @@ EdgeList GenerateUniform(VertexId num_vertices, double avg_degree, std::uint64_t
   el.num_vertices = num_vertices;
   std::uint64_t target =
       static_cast<std::uint64_t>(avg_degree * static_cast<double>(num_vertices) + 0.5);
-  el.edges.reserve(target);
+  el.reserve(target);
   Rng rng(seed);
-  while (el.edges.size() < target) {
+  while (el.size() < target) {
     VertexId src = static_cast<VertexId>(rng.NextBounded(num_vertices));
     VertexId dst = static_cast<VertexId>(rng.NextBounded(num_vertices));
     if (src == dst) continue;
-    el.edges.push_back(Edge{src, dst, 1 + static_cast<std::uint32_t>(rng.NextBounded(16))});
+    el.push_back(Edge{src, dst, 1 + static_cast<std::uint32_t>(rng.NextBounded(16))});
   }
   return el;
 }

@@ -28,9 +28,10 @@ ServedGraph::ServedGraph(const Options& opts) : opts_(opts) {
   if (opts.num_tenants == 0) {
     GP_THROW("served graph needs at least one tenant");
   }
-  graph::EdgeList el =
-      graph::GenerateProfile(opts.profile, opts.num_vertices, opts.seed);
-  graph_ = std::make_unique<graph::CsrGraph>(el, space_);
+  // The generated edge list is a temporary of the CSR build, so it is
+  // freed before the carves and the ANN index are built.
+  graph_ = std::make_unique<graph::CsrGraph>(
+      graph::GenerateProfile(opts.profile, opts.num_vertices, opts.seed), space_);
 
   const std::uint64_t page = graph::AddressSpace::kPmrPageBytes;
   const std::uint64_t seg_bytes = RoundUpTo(

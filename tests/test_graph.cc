@@ -72,8 +72,8 @@ TEST(Generator, Deterministic) {
   p.avg_degree = 8;
   EdgeList a = GenerateRmat(p);
   EdgeList b = GenerateRmat(p);
-  ASSERT_EQ(a.edges.size(), b.edges.size());
-  EXPECT_TRUE(std::equal(a.edges.begin(), a.edges.end(), b.edges.begin()));
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_TRUE(a == b);
 }
 
 TEST(Generator, SeedChangesGraph) {
@@ -83,7 +83,7 @@ TEST(Generator, SeedChangesGraph) {
   EdgeList a = GenerateRmat(p);
   p.seed = 99;
   EdgeList b = GenerateRmat(p);
-  EXPECT_FALSE(std::equal(a.edges.begin(), a.edges.end(), b.edges.begin()));
+  EXPECT_FALSE(a == b);
 }
 
 TEST(Generator, TargetEdgeCountAndNoSelfLoops) {
@@ -92,8 +92,9 @@ TEST(Generator, TargetEdgeCountAndNoSelfLoops) {
   p.avg_degree = 10;
   EdgeList el = GenerateRmat(p);
   EXPECT_EQ(el.num_vertices, 2048u);
-  EXPECT_EQ(el.edges.size(), 20480u);
-  for (const Edge& e : el.edges) {
+  EXPECT_EQ(el.size(), 20480u);
+  for (std::size_t i = 0; i < el.size(); ++i) {
+    const Edge e = el[i];
     EXPECT_NE(e.src, e.dst);
     EXPECT_LT(e.src, el.num_vertices);
     EXPECT_LT(e.dst, el.num_vertices);
@@ -110,9 +111,9 @@ TEST(Generator, DegreeCapHolds) {
   EdgeList el = GenerateRmat(p);
   std::vector<std::uint32_t> in(el.num_vertices, 0);
   std::vector<std::uint32_t> out(el.num_vertices, 0);
-  for (const Edge& e : el.edges) {
-    ++out[e.src];
-    ++in[e.dst];
+  for (std::size_t i = 0; i < el.size(); ++i) {
+    ++out[el.src[i]];
+    ++in[el.dst[i]];
   }
   for (VertexId v = 0; v < el.num_vertices; ++v) {
     EXPECT_LE(in[v], 33u);
@@ -129,7 +130,7 @@ TEST(Generator, SkewedDegreesVsUniform) {
   EdgeList uni = GenerateUniform(8192, 16, 1);
   auto max_out = [](const EdgeList& el) {
     std::vector<std::uint32_t> out(el.num_vertices, 0);
-    for (const Edge& e : el.edges) ++out[e.src];
+    for (const VertexId src : el.src) ++out[src];
     return *std::max_element(out.begin(), out.end());
   };
   EXPECT_GT(max_out(rmat), 2 * max_out(uni));
@@ -137,11 +138,11 @@ TEST(Generator, SkewedDegreesVsUniform) {
 
 TEST(Generator, Profiles) {
   EdgeList ldbc = GenerateProfile("ldbc", 1024, 1);
-  EXPECT_NEAR(static_cast<double>(ldbc.edges.size()) / ldbc.num_vertices, 28.8, 0.1);
+  EXPECT_NEAR(static_cast<double>(ldbc.size()) / ldbc.num_vertices, 28.8, 0.1);
   EdgeList btc = GenerateProfile("bitcoin", 1024, 1);
-  EXPECT_NEAR(static_cast<double>(btc.edges.size()) / btc.num_vertices, 2.5, 0.1);
+  EXPECT_NEAR(static_cast<double>(btc.size()) / btc.num_vertices, 2.5, 0.1);
   EdgeList tw = GenerateProfile("twitter", 1024, 1);
-  EXPECT_NEAR(static_cast<double>(tw.edges.size()) / tw.num_vertices, 7.7, 0.1);
+  EXPECT_NEAR(static_cast<double>(tw.size()) / tw.num_vertices, 7.7, 0.1);
 }
 
 TEST(Generator, LdbcNames) {
@@ -166,10 +167,48 @@ TEST(Generator, RejectsVertexCountsItCannotBuild) {
   EXPECT_EQ(GenerateProfile("ldbc", 2, 1).num_vertices, 2u);
 }
 
+// A 64-bit FNV-1a hash of every edge's src, dst and weight, each as a
+// little-endian uint32, in edge order.
+std::uint64_t EdgeHash(const EdgeList& el) {
+  std::uint64_t h = 0xcbf29ce484222325;
+  auto mix = [&h](std::uint32_t v) {
+    for (int byte = 0; byte < 4; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3;
+    }
+  };
+  for (std::size_t i = 0; i < el.size(); ++i) {
+    const Edge e = el[i];
+    mix(e.src);
+    mix(e.dst);
+    mix(e.weight);
+  }
+  return h;
+}
+
+// The generators' draw order and id shuffle fix every generated graph, and
+// through them every golden; a change to either must show here first.
+TEST(Generator, OutputIsPinned) {
+  struct Pin {
+    const char* profile;
+    std::size_t edges;
+    std::uint64_t hash;
+  };
+  for (const Pin& pin : {Pin{"ldbc", 117965, 0x8583a745bbc42244},
+                         Pin{"bitcoin", 10240, 0xe3005df1b56ed186},
+                         Pin{"twitter", 31539, 0x9d11d0d14a4b8b35}}) {
+    SCOPED_TRACE(pin.profile);
+    const EdgeList el = GenerateProfile(pin.profile, 4096, 1);
+    EXPECT_EQ(el.size(), pin.edges);
+    EXPECT_EQ(EdgeHash(el), pin.hash);
+  }
+  const EdgeList uni = GenerateUniform(4096, 16, 1);
+  EXPECT_EQ(uni.size(), 65536u);
+  EXPECT_EQ(EdgeHash(uni), 0x1d33cfc4eef3a1d9u);
+}
+
 TEST(Csr, BuildsOffsetsAndSortedNeighbors) {
-  EdgeList el;
-  el.num_vertices = 4;
-  el.edges = {{0, 2, 5}, {0, 1, 3}, {2, 3, 1}, {0, 3, 2}};
+  EdgeList el(4, {{0, 2, 5}, {0, 1, 3}, {2, 3, 1}, {0, 3, 2}});
   AddressSpace space;
   CsrGraph g(el, space);
   EXPECT_EQ(g.num_vertices(), 4u);
@@ -189,9 +228,7 @@ TEST(Csr, BuildsOffsetsAndSortedNeighbors) {
 }
 
 TEST(Csr, DedupKeepsFirstWeight) {
-  EdgeList el;
-  el.num_vertices = 3;
-  el.edges = {{0, 1, 7}, {0, 1, 9}, {0, 2, 1}};
+  EdgeList el(3, {{0, 1, 7}, {0, 1, 9}, {0, 2, 1}});
   AddressSpace space;
   CsrGraph g(el, space, /*dedup=*/true);
   EXPECT_EQ(g.num_edges(), 2u);
@@ -200,7 +237,7 @@ TEST(Csr, DedupKeepsFirstWeight) {
 
   // "First" in sorted order: the smallest weight wins, whatever the input
   // order.
-  el.edges = {{0, 1, 9}, {0, 1, 7}, {0, 2, 1}};
+  el = EdgeList(3, {{0, 1, 9}, {0, 1, 7}, {0, 2, 1}});
   AddressSpace space2;
   CsrGraph r(el, space2, /*dedup=*/true);
   ASSERT_EQ(r.OutDegree(0), 2u);
@@ -224,12 +261,13 @@ ReferenceCsr BuildReferenceCsr(const EdgeList& el, bool dedup) {
   const std::size_t n = el.num_vertices;
   ReferenceCsr r;
   r.offsets.assign(n + 1, 0);
-  for (const Edge& e : el.edges) ++r.offsets[e.src + 1];
+  for (const VertexId src : el.src) ++r.offsets[src + 1];
   std::partial_sum(r.offsets.begin(), r.offsets.end(), r.offsets.begin());
-  std::vector<std::uint64_t> packed(el.edges.size());
+  std::vector<std::uint64_t> packed(el.size());
   {
     std::vector<EdgeId> cursor(r.offsets.begin(), r.offsets.end() - 1);
-    for (const Edge& e : el.edges) {
+    for (std::size_t i = 0; i < el.size(); ++i) {
+      const Edge e = el[i];
       packed[cursor[e.src]++] = (std::uint64_t{e.dst} << 32) | e.weight;
     }
   }
@@ -286,11 +324,11 @@ EdgeList RandomEdges(VertexId n, std::size_t count, std::uint64_t seed,
   Rng rng(seed);
   EdgeList el;
   el.num_vertices = n;
-  el.edges.reserve(count);
+  el.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const auto src = static_cast<VertexId>(rng.NextBounded(src_limit));
     const auto dst = static_cast<VertexId>(rng.NextBounded(dst_limit));
-    el.edges.push_back(Edge{src, dst, weight(rng)});
+    el.push_back(Edge{src, dst, weight(rng)});
   }
   return el;
 }
@@ -300,9 +338,9 @@ std::uint32_t AnyU32(Rng& rng) { return static_cast<std::uint32_t>(rng.Next()); 
 TEST(CsrReference, WeightsAcrossTheU32Range) {
   EdgeList el = RandomEdges(3000, 60000, 11, 3000, 3000, AnyU32);
   // The extremes, on a parallel pair so dedup must order them.
-  el.edges.push_back({5, 9, std::numeric_limits<std::uint32_t>::max()});
-  el.edges.push_back({5, 9, 0});
-  el.edges.push_back({5, 9, 1u << 31});
+  el.push_back({5, 9, std::numeric_limits<std::uint32_t>::max()});
+  el.push_back({5, 9, 0});
+  el.push_back({5, 9, 1u << 31});
   ExpectMatchesReference(el);
 }
 
@@ -319,16 +357,14 @@ TEST(CsrReference, StarSource) {
   EdgeList el = RandomEdges(5000, 100000, 13, 1, 5000, [](Rng& rng) {
     return static_cast<std::uint32_t>(1 + rng.NextBounded(16));
   });
-  for (Edge& e : el.edges) e.src = 1234;
+  std::fill(el.src.begin(), el.src.end(), 1234);
   const EdgeList rest = RandomEdges(5000, 20000, 14, 5000, 5000, AnyU32);
-  el.edges.insert(el.edges.end(), rest.edges.begin(), rest.edges.end());
+  for (std::size_t i = 0; i < rest.size(); ++i) el.push_back(rest[i]);
   ExpectMatchesReference(el);
 }
 
 TEST(CsrReference, OneVertexWithOnlySelfLoops) {
-  EdgeList el;
-  el.num_vertices = 1;
-  el.edges = {{0, 0, 5}, {0, 0, 2}, {0, 0, 5}, {0, 0, 0}, {0, 0, 4000000000u}};
+  EdgeList el(1, {{0, 0, 5}, {0, 0, 2}, {0, 0, 5}, {0, 0, 0}, {0, 0, 4000000000u}});
   ExpectMatchesReference(el);
 }
 
@@ -343,9 +379,9 @@ TEST(CsrReference, WideVertexIdsAndWeights) {
   // 32 weight bits fill the rest of the 64-bit key.
   constexpr VertexId kVertices = (1u << 24) - 1;
   EdgeList el = RandomEdges(kVertices, 50000, 15, kVertices, kVertices, AnyU32);
-  el.edges.push_back({kVertices - 1, kVertices - 1, 7});
-  el.edges.push_back({kVertices - 1, kVertices - 1, 3});
-  el.edges.push_back({0, kVertices - 1, std::numeric_limits<std::uint32_t>::max()});
+  el.push_back({kVertices - 1, kVertices - 1, 7});
+  el.push_back({kVertices - 1, kVertices - 1, 3});
+  el.push_back({0, kVertices - 1, std::numeric_limits<std::uint32_t>::max()});
   ExpectMatchesReference(el);
 }
 
@@ -391,9 +427,7 @@ TEST(Csr, GeneratedWeightsTakeOneHostByte) {
 // One weight above eight bits puts every weight on four host bytes, and
 // each still reads back exactly.
 TEST(Csr, WideWeightsKeepFourBytes) {
-  EdgeList el;
-  el.num_vertices = 3;
-  el.edges = {{0, 1, 7}, {0, 2, 256}, {1, 2, 255}, {2, 0, 1}};
+  EdgeList el(3, {{0, 1, 7}, {0, 2, 256}, {1, 2, 255}, {2, 0, 1}});
   AddressSpace space;
   const CsrGraph g(el, space);
   ASSERT_EQ(g.num_edges(), 4u);
@@ -401,7 +435,7 @@ TEST(Csr, WideWeightsKeepFourBytes) {
   const std::uint32_t want[] = {7, 256, 255, 1};
   for (EdgeId e = 0; e < g.num_edges(); ++e) EXPECT_EQ(g.Weight(e), want[e]);
 
-  el.edges[1].weight = 200;
+  el.weight.Set(1, 200);
   AddressSpace narrow_space;
   const CsrGraph narrow(el, narrow_space);
   EXPECT_EQ(narrow.HostBytes() + 3 * narrow.num_edges(), narrow.StructureBytes());
@@ -421,23 +455,119 @@ TEST(Csr, EdgeIdsMatchOffsets) {
   EXPECT_EQ(total, g.num_edges());
 }
 
+// Generated weights are 1-16, so every generated edge takes four bytes per
+// id and one for its weight.
+TEST(EdgeList, GeneratedEdgesTakeNineBytes) {
+  for (const char* profile : {"ldbc", "bitcoin", "twitter"}) {
+    SCOPED_TRACE(profile);
+    const EdgeList el = GenerateProfile(profile, 4096, 3);
+    ASSERT_GT(el.size(), 0u);
+    EXPECT_EQ(el.HostBytes(), 9 * el.size());
+  }
+  const EdgeList uni = GenerateUniform(4096, 16, 3);
+  EXPECT_EQ(uni.HostBytes(), 9 * uni.size());
+}
+
+// One weight above eight bits puts every weight of the list on four host
+// bytes, and each still reads back exactly.
+TEST(EdgeList, OneWideWeightWidensTheColumn) {
+  const std::vector<std::vector<std::uint32_t>> lists = {{7, 256, 255, 1},
+                                                         {4000000000u, 7, 255, 1}};
+  for (const std::vector<std::uint32_t>& weights : lists) {
+    SCOPED_TRACE(weights.front());
+    EdgeList el;
+    el.num_vertices = 2;
+    for (const std::uint32_t w : weights) el.push_back({0, 1, w});
+    ASSERT_EQ(el.size(), weights.size());
+    EXPECT_EQ(el.weight.HostBytes(), weights.size() * sizeof(std::uint32_t));
+    EXPECT_EQ(el.HostBytes(), 12 * el.size());
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      EXPECT_TRUE(el[i] == (Edge{0, 1, weights[i]})) << i;
+    }
+  }
+}
+
 TEST(EdgeListIo, RoundTrip) {
-  EdgeList el;
-  el.num_vertices = 5;
-  el.edges = {{0, 1, 2}, {3, 4, 7}, {2, 0, 1}};
+  EdgeList el(5, {{0, 1, 2}, {3, 4, 7}, {2, 0, 1}});
   std::string path = ::testing::TempDir() + "/graphpim_el_test.txt";
   ASSERT_TRUE(SaveEdgeList(el, path));
   EdgeList in;
   ASSERT_TRUE(LoadEdgeList(path, &in));
-  ASSERT_EQ(in.edges.size(), el.edges.size());
+  ASSERT_EQ(in.size(), el.size());
   EXPECT_EQ(in.num_vertices, 5u);
-  EXPECT_TRUE(std::equal(el.edges.begin(), el.edges.end(), in.edges.begin()));
+  EXPECT_TRUE(in == el);
   std::remove(path.c_str());
 }
 
 TEST(EdgeListIo, LoadMissingFileFails) {
   EdgeList el;
   EXPECT_FALSE(LoadEdgeList("/nonexistent/path/x.el", &el));
+}
+
+TEST(EdgeListIo, WideWeightsRoundTrip) {
+  const EdgeList el(3, {{0, 1, 0}, {2, 0, 4000000000u}});
+  const std::string path = ::testing::TempDir() + "/graphpim_el_wide.txt";
+  ASSERT_TRUE(SaveEdgeList(el, path));
+  EdgeList in;
+  ASSERT_TRUE(LoadEdgeList(path, &in));
+  EXPECT_TRUE(in == el);
+  EXPECT_EQ(in.weight[0], 0u);
+  EXPECT_EQ(in.weight[1], 4000000000u);
+  EXPECT_EQ(in.weight.HostBytes(), 2 * sizeof(std::uint32_t));
+  std::remove(path.c_str());
+}
+
+// Writes `text` to a temporary edge-list file and returns its path.
+std::string WriteEdgeFile(const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/graphpim_el_bad.txt";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+// Every malformed line is a SimError naming the file and the 1-based
+// line; none loads as a wrapped or truncated value, and none exits.
+TEST(EdgeListIo, RejectsMalformedLines) {
+  const struct {
+    const char* text;
+    const char* line;
+  } cases[] = {
+      {"0 1 2\n-1 2 3\n", "line 2"},         // a negative source
+      {"0 4294967295 1\n", "line 1"},         // the vertex count would wrap
+      {"# c\n\n0 1 99999999999\n", "line 3"},  // a weight above 32 bits
+      {"0 1 2 junk\n", "line 1"},             // a fourth field
+      {"0 x\n", "line 1"},                    // not a number
+      {"0 1 2\n7\n", "line 2"},               // no destination
+      {"0 1 2x\n", "line 1"},                 // trailing bytes in a field
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    const std::string path = WriteEdgeFile(c.text);
+    EdgeList el;
+    try {
+      LoadEdgeList(path, &el);
+      ADD_FAILURE() << "loaded " << el.size() << " edges";
+    } catch (const SimError& e) {
+      EXPECT_NE(e.message().find(path), std::string::npos) << e.message();
+      EXPECT_NE(e.message().find(c.line), std::string::npos) << e.message();
+    }
+    std::remove(path.c_str());
+  }
+
+  // Long lines are read whole. A reader with a 256-byte line buffer would
+  // take this comment's tail for an edge 7 -> 8 and split the padded edge
+  // line from its weight. The largest vertex id is accepted.
+  const std::string path =
+      WriteEdgeFile("#" + std::string(254, 'x') + "7 8 9\n0 1" + std::string(300, ' ') +
+                    "5\n\t0 4294967294\r\n");
+  EdgeList el;
+  ASSERT_TRUE(LoadEdgeList(path, &el));
+  EXPECT_TRUE(el == EdgeList(4294967295u, {{0, 1, 5}, {0, 4294967294u, 1}}));
+  std::remove(path.c_str());
 }
 
 }  // namespace

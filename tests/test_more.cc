@@ -141,9 +141,7 @@ TEST(AnalyticMore, RealWorldEnergyNeverAboveOne) {
 // ------------------------------------------------------------ Workloads
 
 TEST(WorkloadEdge, BfsFromIsolatedRootTerminates) {
-  graph::EdgeList el;
-  el.num_vertices = 4;
-  el.edges = {{1, 2, 1}};
+  graph::EdgeList el(4, {{1, 2, 1}});
   graph::AddressSpace space;
   graph::CsrGraph g(el, space);
   workloads::BfsWorkload bfs(0);  // vertex 0 has no edges
@@ -157,7 +155,7 @@ TEST(WorkloadEdge, SsspIterationCapStopsEarly) {
   // A long chain needs as many frontier iterations as its length.
   graph::EdgeList el;
   el.num_vertices = 32;
-  for (VertexId v = 0; v + 1 < 32; ++v) el.edges.push_back({v, v + 1, 1});
+  for (VertexId v = 0; v + 1 < 32; ++v) el.push_back({v, v + 1, 1});
   graph::AddressSpace space;
   graph::CsrGraph g(el, space);
   workloads::SsspWorkload capped(0, /*max_iters=*/4);
@@ -171,7 +169,7 @@ TEST(WorkloadEdge, SsspIterationCapStopsEarly) {
 TEST(WorkloadEdge, TcNoTrianglesOnChain) {
   graph::EdgeList el;
   el.num_vertices = 8;
-  for (VertexId v = 0; v + 1 < 8; ++v) el.edges.push_back({v, v + 1, 1});
+  for (VertexId v = 0; v + 1 < 8; ++v) el.push_back({v, v + 1, 1});
   graph::AddressSpace space;
   graph::CsrGraph g(el, space);
   workloads::TcWorkload tc;
@@ -254,7 +252,7 @@ TEST(GeneratorMore, ShuffleDecorrelatesIdAndDegree) {
   p.avg_degree = 16;
   graph::EdgeList el = graph::GenerateRmat(p);
   std::vector<std::uint64_t> in_deg(el.num_vertices, 0);
-  for (const auto& e : el.edges) ++in_deg[e.dst];
+  for (const VertexId dst : el.dst) ++in_deg[dst];
   std::uint64_t low = 0;
   std::uint64_t total = 0;
   for (VertexId v = 0; v < el.num_vertices; ++v) {
@@ -268,7 +266,7 @@ TEST(GeneratorMore, ShuffleDecorrelatesIdAndDegree) {
 
 TEST(GeneratorMore, UniformGraphHasNoSelfLoops) {
   graph::EdgeList el = graph::GenerateUniform(256, 8, 3);
-  for (const auto& e : el.edges) EXPECT_NE(e.src, e.dst);
+  for (std::size_t i = 0; i < el.size(); ++i) EXPECT_NE(el.src[i], el.dst[i]);
 }
 
 }  // namespace

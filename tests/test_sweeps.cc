@@ -128,7 +128,7 @@ TEST_P(DegreeSweep, EdgeCountTracksDegree) {
   p.num_vertices = 2048;
   p.avg_degree = GetParam();
   graph::EdgeList el = graph::GenerateRmat(p);
-  EXPECT_EQ(el.edges.size(),
+  EXPECT_EQ(el.size(),
             static_cast<std::size_t>(GetParam() * el.num_vertices + 0.5));
 }
 

@@ -140,9 +140,7 @@ TEST(WorkloadSssp, DistancesMatchDijkstra) {
 }
 
 TEST(WorkloadSssp, UnreachableStaysInfinite) {
-  EdgeList el;
-  el.num_vertices = 3;
-  el.edges = {{0, 1, 5}};
+  EdgeList el(3, {{0, 1, 5}});
   Built b(el);
   SsspWorkload sssp(0);
   Generate(sssp, b);
@@ -215,9 +213,7 @@ TEST(WorkloadKcore, LargeKPeelsEverything) {
 
 TEST(WorkloadTc, CountsTrianglesOnKnownGraph) {
   // 0->1, 0->2, 1->2: out-neighbor intersection of (0,1) = {2}: 1 triangle.
-  EdgeList el;
-  el.num_vertices = 3;
-  el.edges = {{0, 1, 1}, {0, 2, 1}, {1, 2, 1}};
+  EdgeList el(3, {{0, 1, 1}, {0, 2, 1}, {1, 2, 1}});
   Built b(el);
   TcWorkload tc;
   Generate(tc, b);
@@ -330,9 +326,7 @@ TEST(WorkloadBc, PathGraphCentrality) {
   // Symmetric path 0 - 1 - 2: with source 0, only vertex 1 lies on a
   // shortest path (the predecessor scan walks out-edges, so BC expects a
   // symmetric graph as GraphBIG's undirected view does).
-  EdgeList el;
-  el.num_vertices = 3;
-  el.edges = {{0, 1, 1}, {1, 0, 1}, {1, 2, 1}, {2, 1, 1}};
+  EdgeList el(3, {{0, 1, 1}, {1, 0, 1}, {1, 2, 1}, {2, 1, 1}});
   Built b(el);
   BcWorkload bc(1);
   Generate(bc, b, 2);
