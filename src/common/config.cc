@@ -1,5 +1,6 @@
 #include "common/config.h"
 
+#include <cerrno>
 #include <cstdlib>
 
 #include "common/log.h"
@@ -32,23 +33,32 @@ std::string Config::GetString(const std::string& key, const std::string& def) co
   return it == values_.end() ? def : it->second;
 }
 
+// The numeric getters take a value only when the parse consumed all of it
+// and at least one character, so an empty value is malformed, not 0.
 std::int64_t Config::GetInt(const std::string& key, std::int64_t def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
+  errno = 0;
+  std::int64_t v = std::strtoll(text, &end, 0);
+  if (end == text || *end != '\0' || errno == ERANGE) {
     GP_THROW("config key '", key, "': '", it->second, "' is not an integer");
   }
   return v;
 }
 
+// strtoull negates a leading '-' in unsigned arithmetic ("-1" reads as
+// 2^64 - 1), so a value holding a '-' is rejected.
 std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  std::uint64_t v = std::strtoull(it->second.c_str(), &end, 0);
-  if (end == nullptr || *end != '\0') {
+  errno = 0;
+  std::uint64_t v = std::strtoull(text, &end, 0);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      it->second.find('-') != std::string::npos) {
     GP_THROW("config key '", key, "': '", it->second, "' is not an unsigned integer");
   }
   return v;
@@ -57,9 +67,10 @@ std::uint64_t Config::GetUint(const std::string& key, std::uint64_t def) const {
 double Config::GetDouble(const std::string& key, double def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
   char* end = nullptr;
-  double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
+  double v = std::strtod(text, &end);
+  if (end == text || *end != '\0') {
     GP_THROW("config key '", key, "': '", it->second, "' is not a number");
   }
   return v;

@@ -27,7 +27,9 @@ class Config {
   bool Has(const std::string& key) const;
 
   // Typed getters returning `def` when the key is absent. A malformed value
-  // throws SimError naming the key and the value.
+  // throws SimError naming the key and the value: for the numeric getters
+  // that includes an empty value, trailing bytes and an integer out of
+  // range, and for GetUint a negative one.
   std::string GetString(const std::string& key, const std::string& def) const;
   std::int64_t GetInt(const std::string& key, std::int64_t def) const;
   std::uint64_t GetUint(const std::string& key, std::uint64_t def) const;

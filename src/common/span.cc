@@ -15,10 +15,6 @@ namespace {
 // decision a pure function of the id.
 constexpr std::uint64_t kSpanSalt = 0x5370616e52656364ULL;  // "SpanRecd"
 
-double TickToNs(Tick t) {
-  return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
-}
-
 std::uint64_t SampleThreshold(double sample_rate) {
   if (sample_rate <= 0.0) return 0;
   if (sample_rate >= 1.0) return ~0ULL;
@@ -121,12 +117,12 @@ std::string FormatSpanChain(const SpanRecord& sp) {
   std::string s = StrFormat(
       "span %c t%d#%llu 0x%llx [%.1f, %.1f] ns:", sp.kind, sp.core,
       static_cast<unsigned long long>(sp.id & ((1ULL << 48) - 1)),
-      static_cast<unsigned long long>(sp.addr), TickToNs(sp.begin),
-      TickToNs(sp.end));
+      static_cast<unsigned long long>(sp.addr), TicksToNs(sp.begin),
+      TicksToNs(sp.end));
   bool first = true;
   for (const SpanStageRecord& st : sp.stages) {
     s += StrFormat("%s %s %.1f", first ? "" : " |", ToString(st.stage),
-                   TickToNs(st.exit - st.enter));
+                   TicksToNs(st.exit - st.enter));
     first = false;
   }
   if (sp.offloaded) s += " (offloaded)";
@@ -151,7 +147,7 @@ void FoldSpanStats(const SpanLog& log, StatRegistry* reg) {
     const bool is_atomic = sp.kind == 'A';
     double attributed = 0.0;
     for (const SpanStageRecord& st : sp.stages) {
-      const double ns = TickToNs(st.exit - st.enter);
+      const double ns = TicksToNs(st.exit - st.enter);
       const std::size_t idx = static_cast<std::size_t>(st.stage);
       per_stage[idx].Record(ns);
       attributed += ns;
@@ -162,7 +158,7 @@ void FoldSpanStats(const SpanLog& log, StatRegistry* reg) {
     }
     if (is_atomic) {
       ++atomics;
-      const double total = TickToNs(sp.end - sp.begin);
+      const double total = TicksToNs(sp.end - sp.begin);
       atomic_total.Record(total);
       if (total > attributed) atomic_unattributed += total - attributed;
     }
@@ -203,15 +199,15 @@ std::string SpanToJson(const SpanRecord& sp) {
       "{\"id\":%llu,\"core\":%d,\"kind\":\"%c\",\"addr\":%llu,"
       "\"begin_ns\":%.3f,\"end_ns\":%.3f,\"offloaded\":%d,\"stages\":[",
       static_cast<unsigned long long>(sp.id), sp.core, sp.kind,
-      static_cast<unsigned long long>(sp.addr), TickToNs(sp.begin),
-      TickToNs(sp.end), sp.offloaded ? 1 : 0);
+      static_cast<unsigned long long>(sp.addr), TicksToNs(sp.begin),
+      TicksToNs(sp.end), sp.offloaded ? 1 : 0);
   bool first = true;
   for (const SpanStageRecord& st : sp.stages) {
     if (!first) out += ',';
     first = false;
     out += StrFormat("{\"s\":\"%s\",\"d\":%u,\"enter_ns\":%.3f,\"exit_ns\":%.3f}",
-                     ToString(st.stage), st.detail, TickToNs(st.enter),
-                     TickToNs(st.exit));
+                     ToString(st.stage), st.detail, TicksToNs(st.enter),
+                     TicksToNs(st.exit));
   }
   out += "]}";
   return out;

@@ -56,8 +56,9 @@ class StatId {
 
 // A point-in-time copy of every touched counter, name-sorted. Snapshots
 // are index-independent (they carry names), so deltas can be taken across
-// registries with different interning orders — e.g. the per-phase merged
-// view the run loop builds at each BSP superstep.
+// registries with different interning orders — e.g. a registry restored
+// from the sweep journal (interned in name order) and the live one it was
+// saved from (interned in construction order).
 struct StatSnapshot {
   std::vector<std::pair<std::string, double>> values;  // sorted by name
 

@@ -56,8 +56,8 @@ class IntervalLog {
   IntervalLog(Tick window, std::uint64_t max_windows, GaugeSampler gauges);
 
   // Barrier policy: records [start, end) with the deltas of `reg` (the
-  // merged whole-system registry at the cut) since the previous cut, or
-  // since zero for the first.
+  // run's registry at the cut) since the previous cut, or since zero for
+  // the first.
   void Cut(std::string name, Tick start, Tick end, const StatRegistry& reg);
 
   // Window policy. The first boundary not yet cut: callers gate on

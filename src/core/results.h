@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/stats.h"
+#include "common/types.h"
 #include "energy/energy.h"
 
 namespace graphpim::core {
@@ -13,7 +14,9 @@ namespace graphpim::core {
 struct SimResults {
   std::string mode;
 
-  // Timing.
+  // Timing. Summarize derives cycles and seconds from end_tick, the tick
+  // at which the last core finished; reports do not print it.
+  Tick end_tick = 0;
   std::uint64_t cycles = 0;       // longest core's cycle count
   std::uint64_t insts = 0;        // total retired micro-ops
   double seconds = 0.0;           // simulated wall clock
@@ -64,8 +67,9 @@ struct SimResults {
   // replay.
   std::uint64_t trace_peak_bytes = 0;
 
-  // The run's unified counter registry for deeper analysis: every
-  // component's counters plus the merged per-core "core." totals. The
+  // The run's counter registry: every component's counters, and the
+  // "core." totals all cores counted into. Summarize derives the fields
+  // above (all but trace_peak_bytes) from it and end_tick. The
   // compatibility raw.Items() view (JSON "counters") hides the "core."
   // scope; raw.AllItems() exposes everything.
   StatRegistry raw;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/log.h"
@@ -15,26 +16,24 @@ namespace {
 
 using cpu::OooCore;
 
-// Builds SimResults from the finished cores and memory system. `spans`
-// (may be null) is the run's flight recorder; its per-stage latency
-// histograms are folded into the merged registry.
-SimResults Collect(const SimConfig& cfg, const std::vector<std::unique_ptr<OooCore>>& cores,
-                   MemorySystem& mem, const trace::SpanRecorder* spans) {
+// A counter that holds an event count. Counts are exact integers below
+// 2^53; the clamp only matters for a registry rebuilt from a damaged
+// journal, where a negative or huge value must not overflow the cast.
+std::uint64_t Count(const StatRegistry& s, const char* name) {
+  const double v = s.Get(name);
+  return v > 0.0 && v < 0x1p64 ? static_cast<std::uint64_t>(v) : 0;
+}
+
+}  // namespace
+
+SimResults Summarize(const SimConfig& cfg, StatRegistry raw, Tick end_tick) {
   SimResults r;
   r.mode = ToString(cfg.mode);
-
-  // Fold every core's "core." registry into the memory system's registry:
-  // one StatRegistry::Merge per core replaces the old field-by-field
-  // CoreStats aggregation, and the run ends with a single unified registry.
-  StatRegistry& s = mem.stats();
-  Tick end_tick = 0;
-  for (const auto& c : cores) {
-    end_tick = std::max(end_tick, c->Now());
-    s.Merge(c->stats());
-  }
+  r.end_tick = end_tick;
+  const StatRegistry& s = raw;
   const double cycle_ticks = 1000.0 / cfg.core.freq_ghz;
   r.cycles = static_cast<std::uint64_t>(static_cast<double>(end_tick) / cycle_ticks);
-  r.insts = static_cast<std::uint64_t>(s.Get("core.insts"));
+  r.insts = Count(s, "core.insts");
   r.seconds = TicksToNs(end_tick) * 1e-9;
   if (r.cycles > 0) {
     r.ipc = static_cast<double>(r.insts) /
@@ -51,15 +50,15 @@ SimResults Collect(const SimConfig& cfg, const std::vector<std::unique_ptr<OooCo
   if (atomic_reqs > 0) {
     r.atomic_miss_rate = s.Get("cache.atomic_mem_misses") / atomic_reqs;
   }
-  r.atomics = static_cast<std::uint64_t>(s.Get("core.atomics"));
-  r.offloaded_atomics = static_cast<std::uint64_t>(s.Get("core.offloaded_atomics"));
+  r.atomics = Count(s, "core.atomics");
+  r.offloaded_atomics = Count(s, "core.offloaded_atomics");
   r.req_flits = s.Get("hmc.req_flits");
   r.resp_flits = s.Get("hmc.resp_flits");
-  r.link_crc_errors = static_cast<std::uint64_t>(s.Get("fault.link_crc_errors"));
-  r.link_retries = static_cast<std::uint64_t>(s.Get("fault.link_retries"));
+  r.link_crc_errors = Count(s, "fault.link_crc_errors");
+  r.link_retries = Count(s, "fault.link_retries");
   r.retry_flits = s.Get("fault.retry_flits");
-  r.poisoned_ops = static_cast<std::uint64_t>(s.Get("fault.poisoned_ops"));
-  r.vault_stalls = static_cast<std::uint64_t>(s.Get("fault.vault_stalls"));
+  r.poisoned_ops = Count(s, "fault.poisoned_ops");
+  r.vault_stalls = Count(s, "fault.vault_stalls");
 
   // Attribution fractions over aggregate core time.
   double total_core_ticks =
@@ -89,13 +88,9 @@ SimResults Collect(const SimConfig& cfg, const std::vector<std::unique_ptr<OooCo
   ep.fp_fus_enabled = cfg.hmc.enable_fp_atomics;
   r.energy = energy::ComputeUncoreEnergy(s, r.seconds, ep);
 
-  if (spans != nullptr) trace::FoldSpanStats(spans->log(), &s);
-
-  r.raw = s;
+  r.raw = std::move(raw);
   return r;
 }
-
-}  // namespace
 
 SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                          Addr pmr_base, Addr pmr_end, const RunOptions& opts) {
@@ -112,12 +107,14 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                                                   cfg.trace_max_spans);
   }
 
+  // The memory system's registry is the run's: every component and every
+  // core counts into it, and Summarize derives the results from it.
   MemorySystem mem(cfg, pmr_base, pmr_end, spans.get());
   std::vector<std::unique_ptr<OooCore>> cores;
   std::vector<OooCore::Status> status;
   static const cpu::UopStream kEmpty;
   for (int i = 0; i < cfg.num_cores; ++i) {
-    cores.push_back(std::make_unique<OooCore>(i, cfg.core, &mem));
+    cores.push_back(std::make_unique<OooCore>(i, cfg.core, &mem, &mem.stats()));
     const auto* stream = i < static_cast<int>(trace.streams.size())
                              ? &trace.streams[static_cast<std::size_t>(i)]
                              : &kEmpty;
@@ -125,18 +122,9 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
     status.push_back(OooCore::Status::kRunning);
   }
 
-  // Interval logs (DESIGN.md §10, §17) cut against the merged
-  // whole-system view: the memory system's registry plus every core's,
-  // rebuilt per cut. That is cheap at superstep and window frequency, and
-  // it leaves the live registries untouched.
-  auto merged = [&] {
-    StatRegistry m = mem.stats();
-    for (const auto& c : cores) m.Merge(c->stats());
-    return m;
-  };
-
   // Phases: each BSP superstep ends at a barrier rendezvous; cutting there
-  // captures the counters that superstep accrued.
+  // captures the counters that superstep accrued. Interval logs (DESIGN.md
+  // §10, §17) read the live run registry at each cut.
   if (opts.phases != nullptr) *opts.phases = trace::IntervalLog();
   Tick phase_start = 0;
   std::uint64_t superstep = 0;
@@ -144,7 +132,7 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
     if (opts.phases == nullptr) return;
     opts.phases->Cut(
         StrFormat("%s.%llu", what, static_cast<unsigned long long>(superstep)),
-        phase_start, end, merged());
+        phase_start, end, mem.stats());
     phase_start = end;
   };
 
@@ -176,8 +164,7 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
     // Telemetry window cuts key off the round's quantum_end before it is
     // updated below, so the cut points depend only on simulated time.
     if (windows != nullptr && quantum_end >= windows->next_boundary()) {
-      const StatRegistry reg = merged();
-      windows->AdvanceTo(quantum_end, &reg);
+      windows->AdvanceTo(quantum_end, &mem.stats());
     }
     bool all_done = true;
     bool any_running = false;
@@ -220,15 +207,16 @@ SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
   Tick end_tick = 0;
   for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
   cut_phase("drain", end_tick);
-  if (windows != nullptr) {
-    const StatRegistry reg = merged();
-    windows->Finish(end_tick, &reg);
-  }
-  // Seal the persist domain before Collect so pmem.unpersisted_at_end is
-  // in the merged registry the report sees.
+  if (windows != nullptr) windows->Finish(end_tick, &mem.stats());
+  // Seal the persist domain and fold the flight recorder's per-stage
+  // latency histograms before Summarize, so pmem.unpersisted_at_end and
+  // span.* are in the registry the report sees.
   if (mem.persist_domain() != nullptr) mem.persist_domain()->Finish(end_tick);
+  if (spans != nullptr) trace::FoldSpanStats(spans->log(), &mem.stats());
 
-  SimResults r = Collect(cfg, cores, mem, spans.get());
+  // The memory system is done counting; its registry moves into the
+  // results.
+  SimResults r = Summarize(cfg, std::move(mem.stats()), end_tick);
   r.trace_peak_bytes = trace.BytesUsed();
   if (opts.spans != nullptr && spans != nullptr) {
     *opts.spans = spans->TakeLog();

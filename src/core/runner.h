@@ -36,8 +36,7 @@ namespace graphpim::core {
 struct RunOptions {
   // When non-null, receives a barrier log: one interval at every BSP
   // superstep boundary (the barrier rendezvous) plus a final drain
-  // interval, each carrying the counter deltas of the whole merged
-  // registry.
+  // interval, each carrying the counter deltas of the run's registry.
   trace::IntervalLog* phases = nullptr;
 
   // When non-null AND cfg.trace_sample_rate > 0, receives the run's
@@ -75,6 +74,14 @@ struct RunOptions {
 // in parallel on an exec::ThreadPool, since each call owns all its state.
 SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                          Addr pmr_base, Addr pmr_end, const RunOptions& opts);
+
+// Derives a run's SimResults from its counter registry and end tick under
+// `cfg`: the one place the reported fields (cycles, IPC, MPKI, the Fig 2
+// and Fig 9 fractions, FLITs, energy) are computed. RunSimulation calls it
+// on the finished run's registry, and the sweep journal on a restored
+// one, so a resumed row equals the journaled one bit for bit.
+// `trace_peak_bytes` is not a counter and stays 0.
+SimResults Summarize(const SimConfig& cfg, StatRegistry raw, Tick end_tick);
 
 // Speedup of `other` over `base` (paper convention: normalized to baseline).
 double Speedup(const SimResults& base, const SimResults& other);

@@ -6,23 +6,25 @@
 
 namespace graphpim::cpu {
 
-OooCore::OooCore(int id, const CoreParams& params, MemoryInterface* mem)
+OooCore::OooCore(int id, const CoreParams& params, MemoryInterface* mem,
+                 StatRegistry* stats)
     : id_(id),
       params_(params),
       mem_(mem),
-      sid_insts_(stats_.Intern("core.insts")),
-      sid_computes_(stats_.Intern("core.computes")),
-      sid_branches_(stats_.Intern("core.branches")),
-      sid_mispredicts_(stats_.Intern("core.mispredicts")),
-      sid_loads_(stats_.Intern("core.loads")),
-      sid_stores_(stats_.Intern("core.stores")),
-      sid_atomics_(stats_.Intern("core.atomics")),
-      sid_offloaded_atomics_(stats_.Intern("core.offloaded_atomics")),
-      sid_atomic_incore_ticks_(stats_.Intern("core.atomic_incore_ticks")),
-      sid_atomic_incache_ticks_(stats_.Intern("core.atomic_incache_ticks")),
-      sid_atomic_dep_ticks_(stats_.Intern("core.atomic_dep_ticks")),
-      sid_badspec_ticks_(stats_.Intern("core.badspec_ticks")),
-      sid_frontend_ticks_(stats_.Intern("core.frontend_ticks")) {
+      stats_(stats, "core"),
+      sid_insts_(stats_.Counter("insts")),
+      sid_computes_(stats_.Counter("computes")),
+      sid_branches_(stats_.Counter("branches")),
+      sid_mispredicts_(stats_.Counter("mispredicts")),
+      sid_loads_(stats_.Counter("loads")),
+      sid_stores_(stats_.Counter("stores")),
+      sid_atomics_(stats_.Counter("atomics")),
+      sid_offloaded_atomics_(stats_.Counter("offloaded_atomics")),
+      sid_atomic_incore_ticks_(stats_.Counter("atomic_incore_ticks")),
+      sid_atomic_incache_ticks_(stats_.Counter("atomic_incache_ticks")),
+      sid_atomic_dep_ticks_(stats_.Counter("atomic_dep_ticks")),
+      sid_badspec_ticks_(stats_.Counter("badspec_ticks")),
+      sid_frontend_ticks_(stats_.Counter("frontend_ticks")) {
   GP_CHECK(mem != nullptr);
   GP_CHECK(params.issue_width > 0 && params.rob_size > 0);
   cycle_ticks_ = static_cast<Tick>(1000.0 / params_.freq_ghz + 0.5);
@@ -42,7 +44,6 @@ void OooCore::Reset(const UopStream* trace) {
   max_outstanding_ = 0;
   max_store_complete_ = 0;
   barrier_arrival_ = 0;
-  stats_.Reset();
 }
 
 Tick OooCore::NextIssueSlot() {

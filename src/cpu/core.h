@@ -33,8 +33,8 @@ struct CoreParams {
   int fp_compute_lat = 4;           // cycles for FP ALU ops
 };
 
-// Each core accumulates its replay counters in its own small StatRegistry
-// under the "core." scope:
+// Every core counts its replay into the run's registry under the "core."
+// scope, so the counters are totals over all cores:
 //   core.insts, core.computes, core.branches, core.mispredicts,
 //   core.loads, core.stores, core.atomics, core.offloaded_atomics,
 // and the attribution sums (in Ticks) behind Fig 2 / Fig 9:
@@ -42,9 +42,8 @@ struct CoreParams {
 //   core.atomic_incache_ticks  — tag walks + coherence for atomics
 //   core.atomic_dep_ticks      — dependents waiting on offloaded atomics
 //   core.badspec_ticks, core.frontend_ticks
-// Per-core registries merge into the run's unified registry via
-// StatRegistry::Merge; the "core." scope is hidden from the compatibility
-// Items() view (it surfaces through SimResults headline fields instead).
+// The "core." scope is hidden from the compatibility Items() view (it
+// surfaces through SimResults headline fields instead).
 
 class OooCore {
  public:
@@ -54,9 +53,12 @@ class OooCore {
     kDone,      // trace exhausted
   };
 
-  OooCore(int id, const CoreParams& params, MemoryInterface* mem);
+  // `stats` (may be null) is the run's registry the core counts into.
+  OooCore(int id, const CoreParams& params, MemoryInterface* mem,
+          StatRegistry* stats = nullptr);
 
-  // Installs the trace to replay and resets all core state.
+  // Installs the trace to replay and resets the pipeline state. The
+  // counters belong to the registry and are left as they are.
   void Reset(const UopStream* trace);
 
   // Advances until `until` ticks, a barrier, or the end of the trace.
@@ -79,7 +81,6 @@ class OooCore {
   }
 
   int id() const { return id_; }
-  const StatRegistry& stats() const { return stats_; }
 
   Tick CyclesToTicks(std::uint64_t cycles) const {
     return static_cast<Tick>(static_cast<double>(cycles) * 1000.0 / params_.freq_ghz);
@@ -125,7 +126,7 @@ class OooCore {
 
   Tick barrier_arrival_ = 0;
 
-  StatRegistry stats_;
+  StatScope stats_;  // "core." counters
   StatId sid_insts_;
   StatId sid_computes_;
   StatId sid_branches_;

@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstring>
 #include <fstream>
-#include <initializer_list>
 #include <utility>
 
 #include "common/json.h"
@@ -34,34 +33,11 @@ std::string SidecarHead(const std::string& kind, const SweepRow& row,
 // ---------------------------------------------------------------------------
 // Row <-> line.
 
+// A row's results are its end tick and its full registry; on load,
+// core::Summarize derives every other field from them. AllItems, because
+// the compatibility Items() view would drop the core.* totals.
 std::string ResultsToJson(const core::SimResults& r) {
-  std::string s = "{";
-  s += "\"mode\":\"" + JsonEscape(r.mode) + "\"";
-  s += ",\"cycles\":" + U(r.cycles);
-  s += ",\"insts\":" + U(r.insts);
-  s += ",\"seconds\":" + D(r.seconds);
-  s += ",\"ipc\":" + D(r.ipc);
-  s += ",\"l1\":" + D(r.l1_mpki) + ",\"l2\":" + D(r.l2_mpki) +
-       ",\"l3\":" + D(r.l3_mpki);
-  s += ",\"amr\":" + D(r.atomic_miss_rate);
-  s += ",\"atomics\":" + U(r.atomics);
-  s += ",\"offloaded\":" + U(r.offloaded_atomics);
-  s += ",\"reqf\":" + D(r.req_flits) + ",\"respf\":" + D(r.resp_flits);
-  s += ",\"crc\":" + U(r.link_crc_errors);
-  s += ",\"retries\":" + U(r.link_retries);
-  s += ",\"retryf\":" + D(r.retry_flits);
-  s += ",\"poisoned\":" + U(r.poisoned_ops);
-  s += ",\"stalls\":" + U(r.vault_stalls);
-  s += ",\"fractions\":[" + D(r.frac_atomic_incore) + ',' +
-       D(r.frac_atomic_incache) + ',' + D(r.frac_atomic_dep) + ',' +
-       D(r.frac_other) + ',' + D(r.frac_frontend) + ',' + D(r.frac_badspec) +
-       ',' + D(r.frac_retiring) + ',' + D(r.frac_backend) + ']';
-  s += ",\"energy\":[" + D(r.energy.caches_j) + ',' + D(r.energy.link_j) +
-       ',' + D(r.energy.fu_j) + ',' + D(r.energy.logic_j) + ',' +
-       D(r.energy.dram_j) + ']';
-  // The full registry, merged "core." totals included — the compatibility
-  // Items() view would silently drop them from the round trip.
-  s += ",\"counters\":{";
+  std::string s = "{\"end_tick\":" + U(r.end_tick) + ",\"counters\":{";
   bool first = true;
   for (const auto& [k, v] : r.raw.AllItems()) {
     if (!first) s += ',';
@@ -87,9 +63,8 @@ std::string RowToJson(const SweepRow& row) {
   return s;
 }
 
-// Typed field reads shared by the row and results readers. A missing
-// field, or a value of the wrong kind or range, throws SimError, and
-// LoadJournal drops the line.
+// Typed field reads for the row reader. A missing field, or a value of
+// the wrong kind or range, throws SimError, and LoadJournal drops the line.
 const json::Value& Field(const json::Value& obj, const char* key) {
   const json::Value* f = obj.Find(key);
   if (f == nullptr) GP_THROW("journal line lacks '", key, "'");
@@ -108,57 +83,7 @@ std::uint64_t U64(const json::Value& obj, const char* key) {
   return Field(obj, key).U64();
 }
 
-double Dbl(const json::Value& obj, const char* key) {
-  return Field(obj, key).Double();
-}
-
-// Reads the fixed-length number array `key` into `outs`, in order.
-void Dbls(const json::Value& obj, const char* key,
-          std::initializer_list<double*> outs) {
-  const json::Value& a = Field(obj, key);
-  if (!a.is(json::Value::Kind::kArray) || a.items.size() != outs.size()) {
-    GP_THROW("journal field '", key, "' is not ", outs.size(), " numbers");
-  }
-  const json::Value* item = a.items.data();
-  for (double* out : outs) *out = (item++)->Double();
-}
-
-core::SimResults ResultsFromJson(const json::Value& v) {
-  core::SimResults r;
-  r.mode = Str(v, "mode");
-  r.cycles = U64(v, "cycles");
-  r.insts = U64(v, "insts");
-  r.seconds = Dbl(v, "seconds");
-  r.ipc = Dbl(v, "ipc");
-  r.l1_mpki = Dbl(v, "l1");
-  r.l2_mpki = Dbl(v, "l2");
-  r.l3_mpki = Dbl(v, "l3");
-  r.atomic_miss_rate = Dbl(v, "amr");
-  r.atomics = U64(v, "atomics");
-  r.offloaded_atomics = U64(v, "offloaded");
-  r.req_flits = Dbl(v, "reqf");
-  r.resp_flits = Dbl(v, "respf");
-  r.link_crc_errors = U64(v, "crc");
-  r.link_retries = U64(v, "retries");
-  r.retry_flits = Dbl(v, "retryf");
-  r.poisoned_ops = U64(v, "poisoned");
-  r.vault_stalls = U64(v, "stalls");
-  Dbls(v, "fractions",
-       {&r.frac_atomic_incore, &r.frac_atomic_incache, &r.frac_atomic_dep,
-        &r.frac_other, &r.frac_frontend, &r.frac_badspec, &r.frac_retiring,
-        &r.frac_backend});
-  Dbls(v, "energy",
-       {&r.energy.caches_j, &r.energy.link_j, &r.energy.fu_j,
-        &r.energy.logic_j, &r.energy.dram_j});
-  const json::Value& counters = Field(v, "counters");
-  if (!counters.is(json::Value::Kind::kObject)) {
-    GP_THROW("journal field 'counters' is not an object");
-  }
-  for (const auto& [k, c] : counters.members) r.raw.Set(k, c.Double());
-  return r;
-}
-
-SweepRow RowFromJson(const json::Value& v) {
+SweepRow RowFromJson(const json::Value& v, const SweepGrid& grid) {
   SweepRow row;
   row.workload_idx = static_cast<std::size_t>(U64(v, "w"));
   row.profile_idx = static_cast<std::size_t>(U64(v, "p"));
@@ -167,8 +92,29 @@ SweepRow RowFromJson(const json::Value& v) {
   row.profile = Str(v, "profile");
   row.config_name = Str(v, "config");
   row.seed = U64(v, "seed");
-  row.wall_ms = Dbl(v, "wall_ms");
-  row.results = ResultsFromJson(Field(v, "r"));
+  row.wall_ms = Field(v, "wall_ms").Double();
+  // A row restores only into the cell it was simulated for: its names and
+  // seed must be the ones this grid gives its coordinates. Any other row
+  // (an edited or corrupted index) is dropped and re-simulated.
+  if (row.workload_idx >= grid.workloads.size() ||
+      row.profile_idx >= grid.profiles.size() ||
+      row.config_idx >= grid.configs.size() ||
+      row.workload != grid.workloads[row.workload_idx] ||
+      row.profile != grid.profiles[row.profile_idx] ||
+      row.config_name != grid.config_names[row.config_idx] ||
+      row.seed != DeriveCellSeed(grid.base_seed, row.workload_idx,
+                                 row.profile_idx)) {
+    GP_THROW("journal row does not match its grid cell");
+  }
+  const json::Value& r = Field(v, "r");
+  const json::Value& counters = Field(r, "counters");
+  if (!counters.is(json::Value::Kind::kObject)) {
+    GP_THROW("journal field 'counters' is not an object");
+  }
+  StatRegistry raw;
+  for (const auto& [k, c] : counters.members) raw.Set(k, c.Double());
+  row.results = core::Summarize(grid.configs[row.config_idx], std::move(raw),
+                                U64(r, "end_tick"));
   row.status = JobStatus::kOk;
   row.from_journal = true;
   return row;
@@ -177,11 +123,11 @@ SweepRow RowFromJson(const json::Value& v) {
 }  // namespace
 
 std::string GridFingerprint(const SweepGrid& grid) {
-  // v2: rows serialize the unified registry ("counters" includes the
-  // merged core.* totals; the legacy fixed-order "core" array is gone).
-  // Bumping the version makes pre-registry journals mismatch cleanly
-  // instead of resuming with silently core-less rows.
-  std::string fp = "v2|w=";
+  // v3: a row's results are its end tick and its registry, from which
+  // core::Summarize rebuilds the derived fields. Bumping the version makes
+  // a v2 journal, whose rows carry the derived fields and no end tick, a
+  // fingerprint mismatch rather than a file of dropped rows.
+  std::string fp = "v3|w=";
   for (std::size_t i = 0; i < grid.workloads.size(); ++i) {
     if (i != 0) fp += ',';
     fp += grid.workloads[i];
@@ -286,7 +232,8 @@ void JournalWriter::Close() {
   }
 }
 
-bool LoadJournal(const std::string& path, JournalData* out) {
+bool LoadJournal(const std::string& path, const SweepGrid& grid,
+                 JournalData* out) {
   std::ifstream in(path);
   if (!in.is_open()) return false;
   std::string line;
@@ -309,10 +256,10 @@ bool LoadJournal(const std::string& path, JournalData* out) {
     if (line.compare(0, 13, "{\"spans_for\":") == 0) continue;
     if (line.compare(0, 16, "{\"timeline_for\":") == 0) continue;
     try {
-      out->rows.push_back(RowFromJson(json::Parse(line)));
+      out->rows.push_back(RowFromJson(json::Parse(line), grid));
     } catch (const SimError&) {
-      // Malformed or truncated (e.g. SIGKILL mid-write): the row will
-      // simply be re-simulated.
+      // Malformed, truncated (e.g. SIGKILL mid-write) or foreign to its
+      // cell: the row will simply be re-simulated.
       ++out->dropped_lines;
     }
   }

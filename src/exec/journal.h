@@ -4,15 +4,18 @@
 // one line per finished OK row. Rows are appended in grid order as the
 // runner harvests them and flushed immediately, so a SIGKILL loses at most
 // the line being written; a truncated trailing line is silently dropped on
-// load. Doubles are emitted with %.17g (exact round-trip), so a row
-// restored by --resume is bit-identical to the row that was journaled —
-// which, by the determinism contract, is bit-identical to what re-running
-// the job would have produced.
+// load. A row stores its grid coordinates, names, seed and wall time, and
+// as its results only the run's end tick and counter registry (doubles
+// with %.17g, an exact round trip). LoadJournal rebuilds the results with
+// core::Summarize under the row's grid config, so a row restored by
+// --resume is bit-identical to the row that was journaled — which, by the
+// determinism contract, is bit-identical to what re-running the job would
+// have produced.
 //
 // LoadJournal reads every line through the strict reader in common/json.h.
-// A line that does not parse, or lacks a field or has one of the wrong
-// kind or range, is dropped, so a corrupt journal degrades to a shorter
-// one instead of a crash.
+// A line that does not parse, lacks a field, has one of the wrong kind or
+// range, or does not match its grid cell is dropped, so a corrupt journal
+// degrades to a shorter one instead of a crash.
 #ifndef GRAPHPIM_EXEC_JOURNAL_H_
 #define GRAPHPIM_EXEC_JOURNAL_H_
 
@@ -78,13 +81,17 @@ class JournalWriter {
 struct JournalData {
   std::string fingerprint;
   std::vector<SweepRow> rows;     // all restored rows are status=kOk
-  std::size_t dropped_lines = 0;  // malformed/truncated lines skipped
+  std::size_t dropped_lines = 0;  // malformed/truncated/foreign lines skipped
 };
 
-// Loads a journal. False when the file does not exist (fresh start); a
-// file with an unreadable header loads as zero rows with an empty
-// fingerprint, which the runner then rejects as a mismatch.
-bool LoadJournal(const std::string& path, JournalData* out);
+// Loads a journal written for `grid`. A row is kept only when its
+// coordinates lie in the grid and its workload, profile and config names
+// and its seed are the ones the grid gives them; its results are rebuilt
+// by core::Summarize under grid.configs[c]. False when the file does not
+// exist (fresh start); a file with an unreadable header loads with an
+// empty fingerprint, which the runner then rejects as a mismatch.
+bool LoadJournal(const std::string& path, const SweepGrid& grid,
+                 JournalData* out);
 
 }  // namespace graphpim::exec
 

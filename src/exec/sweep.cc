@@ -173,8 +173,8 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
     trace::IntervalLog timeline;  // populated when telemetry.window_ns > 0
   };
 
-  // Phase capture costs one registry merge per superstep, so only pay for
-  // it when there is a journal to carry the sidecar lines.
+  // Phase capture costs one registry snapshot per superstep, so only pay
+  // for it when there is a journal to carry the sidecar lines.
   const bool want_phases = opts_.journal_phases && !opts_.journal_path.empty();
   // Span capture is keyed off the config itself (trace.sample_rate > 0):
   // the recorder runs either way to fold span.* stats, so the only question
@@ -190,26 +190,15 @@ SweepResultTable SweepRunner::Run(const SweepGrid& grid) const {
   if (opts_.resume) {
     GP_CHECK(!opts_.journal_path.empty(), "resume requires a journal path");
     JournalData jd;
-    if (LoadJournal(opts_.journal_path, &jd)) {
+    if (LoadJournal(opts_.journal_path, grid, &jd)) {
       if (jd.fingerprint != fingerprint) {
         GP_THROW("sweep journal '", opts_.journal_path,
                  "' was written for a different grid (fingerprint mismatch); "
                  "delete it or point --journal elsewhere to start fresh");
       }
-      // A row restores only into the cell it was simulated for: its names
-      // and seed must be the ones this grid gives its coordinates. Any
-      // other row (an edited or corrupted index) is re-simulated.
+      // LoadJournal kept only rows that match their cell; the first row
+      // for a cell wins.
       for (SweepRow& r : jd.rows) {
-        if (r.workload_idx >= grid.workloads.size() ||
-            r.profile_idx >= grid.profiles.size() ||
-            r.config_idx >= num_configs ||
-            r.workload != grid.workloads[r.workload_idx] ||
-            r.profile != grid.profiles[r.profile_idx] ||
-            r.config_name != grid.config_names[r.config_idx] ||
-            r.seed != DeriveCellSeed(grid.base_seed, r.workload_idx,
-                                     r.profile_idx)) {
-          continue;
-        }
         const std::size_t idx =
             (r.workload_idx * grid.profiles.size() + r.profile_idx) *
                 num_configs +

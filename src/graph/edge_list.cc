@@ -65,12 +65,13 @@ void EdgeList::reserve(std::size_t n) {
 bool SaveEdgeList(const EdgeList& el, const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  std::fprintf(f, "# vertices %u edges %zu\n", el.num_vertices, el.size());
-  for (std::size_t i = 0; i < el.size(); ++i) {
-    std::fprintf(f, "%u %u %u\n", el.src[i], el.dst[i], el.weight[i]);
+  bool ok = std::fprintf(f, "# vertices %u edges %zu\n", el.num_vertices,
+                         el.size()) >= 0;
+  for (std::size_t i = 0; ok && i < el.size(); ++i) {
+    ok = std::fprintf(f, "%u %u %u\n", el.src[i], el.dst[i], el.weight[i]) >= 0;
   }
-  std::fclose(f);
-  return true;
+  // The close flushes the buffered tail, so it can fail too (a full disk).
+  return std::fclose(f) == 0 && ok;
 }
 
 bool LoadEdgeList(const std::string& path, EdgeList* out) {
@@ -85,10 +86,21 @@ bool LoadEdgeList(const std::string& path, EdgeList* out) {
     std::string fields[4];
     std::size_t n = 0;
     while (n < 4 && words >> fields[n]) ++n;
-    if (n == 0 || fields[0].front() == '#') continue;
     auto fail = [&](const auto&... what) {
       GP_THROW("edge list '", path, "' line ", line_no, ": ", what...);
     };
+    // SaveEdgeList's "# vertices N edges M" header keeps the vertex count,
+    // which isolated top vertices would otherwise lose.
+    if (line_no == 1 && n >= 2 && fields[0] == "#" && fields[1] == "vertices") {
+      std::uint32_t num_vertices = 0;
+      if (!ParseField(fields[2], std::numeric_limits<VertexId>::max(), &num_vertices)) {
+        fail("the header's vertex count '", fields[2], "' is not an integer in [0, ",
+             std::numeric_limits<VertexId>::max(), "]");
+      }
+      out->num_vertices = num_vertices;
+      continue;
+    }
+    if (n == 0 || fields[0].front() == '#') continue;
     if (n == 4) fail("unexpected fourth field '", fields[3], "'");
     if (n == 1) fail("no destination after the source '", fields[0], "'");
     Edge e;

@@ -141,11 +141,15 @@ struct EdgeList {
 };
 
 // Plain-text edge-list I/O ("src dst [weight]" per line, '#' comments).
-// Both return false when the file cannot be opened, and LoadEdgeList also
-// when reading it fails. LoadEdgeList throws a SimError naming the file
-// and the 1-based line of the first line that is not a comment, a blank
-// line or two or three decimal fields: vertex ids below 2^32 - 1 (so the
-// vertex count fits 32 bits) and a weight below 2^32.
+// SaveEdgeList writes a "# vertices N edges M" header first, and
+// LoadEdgeList sets num_vertices to the larger of that N and the largest
+// id + 1. Both return false when the file cannot be opened, SaveEdgeList
+// also when a write or the close fails, and LoadEdgeList also when reading
+// fails. LoadEdgeList throws a SimError naming the file and the 1-based
+// line of the first line that is not a comment, a blank line or two or
+// three decimal fields: vertex ids below 2^32 - 1 (so the vertex count
+// fits 32 bits) and a weight below 2^32. A header whose N is not an
+// integer below 2^32 is a SimError on line 1.
 bool SaveEdgeList(const EdgeList& el, const std::string& path);
 bool LoadEdgeList(const std::string& path, EdgeList* out);
 

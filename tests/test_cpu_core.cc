@@ -89,13 +89,14 @@ Tick RunAll(OooCore& core) {
 TEST(OooCore, IssueWidthBoundsThroughput) {
   MockMem mem;
   CoreParams p;
-  OooCore core(0, p, &mem);
+  StatRegistry stats;
+  OooCore core(0, p, &mem, &stats);
   cpu::UopStream trace(1000, Comp());
   core.Reset(&trace);
   Tick end = RunAll(core);
   // 1000 independent 1-cycle ops at 4/cycle = 250 cycles = 125ns.
   EXPECT_NEAR(TicksToNs(end), 125.0, 5.0);
-  EXPECT_DOUBLE_EQ(core.stats().Get("core.insts"), 1000);
+  EXPECT_DOUBLE_EQ(stats.Get("core.insts"), 1000);
 }
 
 TEST(OooCore, DependentChainSerializes) {
@@ -145,7 +146,8 @@ TEST(OooCore, RobLimitsInFlightWork) {
 TEST(OooCore, SerializingAtomicFreezesPipeline) {
   MockMem mem;
   mem.serialize_atomics = true;
-  OooCore core(0, CoreParams(), &mem);
+  StatRegistry stats;
+  OooCore core(0, CoreParams(), &mem, &stats);
   cpu::UopStream with;
   cpu::UopStream without;
   for (int i = 0; i < 100; ++i) {
@@ -156,7 +158,7 @@ TEST(OooCore, SerializingAtomicFreezesPipeline) {
   }
   core.Reset(&with);
   Tick t_with = RunAll(core);
-  const double incore = core.stats().Get("core.atomic_incore_ticks");
+  const double incore = stats.Get("core.atomic_incore_ticks");
   core.Reset(&without);
   Tick t_without = RunAll(core);
   EXPECT_GT(t_with, 5 * t_without);
@@ -166,7 +168,8 @@ TEST(OooCore, SerializingAtomicFreezesPipeline) {
 TEST(OooCore, OffloadedAtomicDoesNotFreeze) {
   MockMem mem;
   mem.serialize_atomics = false;
-  OooCore core(0, CoreParams(), &mem);
+  StatRegistry stats;
+  OooCore core(0, CoreParams(), &mem, &stats);
   cpu::UopStream trace;
   for (int i = 0; i < 100; ++i) {
     trace.push_back(At(0, /*ret=*/false));  // posted
@@ -176,7 +179,7 @@ TEST(OooCore, OffloadedAtomicDoesNotFreeze) {
   Tick end = RunAll(core);
   // Posted offloaded atomics behave like cheap ops: ~200 ops / 4 wide.
   EXPECT_LT(TicksToNs(end), 60.0);
-  EXPECT_DOUBLE_EQ(core.stats().Get("core.atomics"), 100);
+  EXPECT_DOUBLE_EQ(stats.Get("core.atomics"), 100);
 }
 
 TEST(OooCore, AtomicWithReturnDelaysDependent) {
@@ -191,7 +194,8 @@ TEST(OooCore, AtomicWithReturnDelaysDependent) {
 TEST(OooCore, MispredictAddsPenalty) {
   MockMem mem;
   CoreParams p;
-  OooCore core(0, p, &mem);
+  StatRegistry stats;
+  OooCore core(0, p, &mem, &stats);
   cpu::UopStream clean;
   cpu::UopStream dirty;
   for (int i = 0; i < 100; ++i) {
@@ -202,13 +206,16 @@ TEST(OooCore, MispredictAddsPenalty) {
   }
   core.Reset(&clean);
   Tick t_clean = RunAll(core);
-  const double bs_clean = core.stats().Get("core.badspec_ticks");
+  const double bs_clean = stats.Get("core.badspec_ticks");
+  // The counters belong to the registry, not the core: clear them so the
+  // second run's counts stand alone.
+  stats.Reset();
   core.Reset(&dirty);
   Tick t_dirty = RunAll(core);
   EXPECT_GT(t_dirty, t_clean);
   EXPECT_DOUBLE_EQ(bs_clean, 0.0);
-  EXPECT_GT(core.stats().Get("core.badspec_ticks"), 0.0);
-  EXPECT_DOUBLE_EQ(core.stats().Get("core.mispredicts"), 100);
+  EXPECT_GT(stats.Get("core.badspec_ticks"), 0.0);
+  EXPECT_DOUBLE_EQ(stats.Get("core.mispredicts"), 100);
 }
 
 TEST(OooCore, IssueStallBackpressure) {
@@ -237,32 +244,33 @@ TEST(OooCore, BarrierReportsArrivalOfAllWork) {
 
 TEST(OooCore, QuantumPausesAndResumes) {
   MockMem mem;
-  OooCore core(0, CoreParams(), &mem);
+  StatRegistry stats;
+  OooCore core(0, CoreParams(), &mem, &stats);
   cpu::UopStream trace(10000, Comp(1, true));
   core.Reset(&trace);
   EXPECT_EQ(core.Advance(NsToTicks(10.0)), OooCore::Status::kRunning);
-  const double insts_after_first = core.stats().Get("core.insts");
+  const double insts_after_first = stats.Get("core.insts");
   EXPECT_LT(insts_after_first, 10000.0);
   EXPECT_GT(insts_after_first, 0.0);
   RunAll(core);
-  EXPECT_DOUBLE_EQ(core.stats().Get("core.insts"), 10000);
+  EXPECT_DOUBLE_EQ(stats.Get("core.insts"), 10000);
 }
 
 TEST(OooCore, StatsCountOpKinds) {
   MockMem mem;
-  OooCore core(0, CoreParams(), &mem);
+  StatRegistry stats;
+  OooCore core(0, CoreParams(), &mem, &stats);
   MicroOp st;
   st.type = OpType::kStore;
   cpu::UopStream trace{Comp(), Br(false, false), Ld(0), st, At(0, true)};
   core.Reset(&trace);
   RunAll(core);
-  const StatRegistry& s = core.stats();
-  EXPECT_DOUBLE_EQ(s.Get("core.computes"), 1);
-  EXPECT_DOUBLE_EQ(s.Get("core.branches"), 1);
-  EXPECT_DOUBLE_EQ(s.Get("core.loads"), 1);
-  EXPECT_DOUBLE_EQ(s.Get("core.stores"), 1);
-  EXPECT_DOUBLE_EQ(s.Get("core.atomics"), 1);
-  EXPECT_DOUBLE_EQ(s.Get("core.insts"), 5);
+    EXPECT_DOUBLE_EQ(stats.Get("core.computes"), 1);
+  EXPECT_DOUBLE_EQ(stats.Get("core.branches"), 1);
+  EXPECT_DOUBLE_EQ(stats.Get("core.loads"), 1);
+  EXPECT_DOUBLE_EQ(stats.Get("core.stores"), 1);
+  EXPECT_DOUBLE_EQ(stats.Get("core.atomics"), 1);
+  EXPECT_DOUBLE_EQ(stats.Get("core.insts"), 5);
 }
 
 TEST(Pou, PmrRangeCheck) {

@@ -46,6 +46,9 @@ TEST(ErrorPaths, ConfigRejectsNonNumeric) {
   Config cfg;
   cfg.Set("n", "abc");
   cfg.Set("b", "maybe");
+  cfg.Set("e", "");
+  cfg.Set("neg", "-1");
+  cfg.Set("big", "18446744073709551616");  // 2^64
   auto expect_throw = [](auto get, const char* want) {
     try {
       get();
@@ -59,6 +62,19 @@ TEST(ErrorPaths, ConfigRejectsNonNumeric) {
                "'n': 'abc' is not an unsigned integer");
   expect_throw([&] { cfg.GetDouble("n", 0.0); }, "'n': 'abc' is not a number");
   expect_throw([&] { cfg.GetBool("b", false); }, "'b': 'maybe' is not a boolean");
+  // An empty value is not 0, and a negative unsigned one does not wrap to
+  // 2^64 - 1.
+  expect_throw([&] { cfg.GetInt("e", 7); }, "'e': '' is not an integer");
+  expect_throw([&] { cfg.GetUint("e", 7); }, "'e': '' is not an unsigned integer");
+  expect_throw([&] { cfg.GetDouble("e", 7.0); }, "'e': '' is not a number");
+  expect_throw([&] { cfg.GetUint("neg", 7); },
+               "'neg': '-1' is not an unsigned integer");
+  // Out-of-range integers are not saturated.
+  expect_throw([&] { cfg.GetInt("big", 7); }, "'big': '18446744073709551616' is not an integer");
+  expect_throw([&] { cfg.GetUint("big", 7); },
+               "'big': '18446744073709551616' is not an unsigned integer");
+  EXPECT_EQ(cfg.GetInt("neg", 7), -1);
+  EXPECT_EQ(cfg.GetDouble("neg", 7.0), -1.0);
 }
 
 TEST(ErrorPaths, RegionExhaustionIsFatal) {

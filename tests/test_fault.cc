@@ -362,7 +362,7 @@ TEST(Journal, RowsRoundTripBitExactly) {
   exec::SweepResultTable t = exec::SweepRunner(opts).Run(SmallGrid());
 
   exec::JournalData jd;
-  ASSERT_TRUE(exec::LoadJournal(path, &jd));
+  ASSERT_TRUE(exec::LoadJournal(path, SmallGrid(), &jd));
   EXPECT_EQ(jd.fingerprint, exec::GridFingerprint(SmallGrid()));
   EXPECT_EQ(jd.dropped_lines, 0u);
   ASSERT_EQ(jd.rows.size(), t.rows.size());

@@ -499,6 +499,14 @@ TEST(EdgeListIo, RoundTrip) {
   std::remove(path.c_str());
 }
 
+// A full disk fails the buffered writes at the close; a missing directory
+// fails the open. Neither reports success.
+TEST(EdgeListIo, SaveReportsWriteErrors) {
+  const EdgeList el(5, {{0, 1, 2}});
+  EXPECT_FALSE(SaveEdgeList(el, "/dev/full"));
+  EXPECT_FALSE(SaveEdgeList(el, "/nonexistent/path/x.el"));
+}
+
 TEST(EdgeListIo, LoadMissingFileFails) {
   EdgeList el;
   EXPECT_FALSE(LoadEdgeList("/nonexistent/path/x.el", &el));
@@ -517,9 +525,11 @@ TEST(EdgeListIo, WideWeightsRoundTrip) {
   std::remove(path.c_str());
 }
 
-// Writes `text` to a temporary edge-list file and returns its path.
-std::string WriteEdgeFile(const std::string& text) {
-  const std::string path = ::testing::TempDir() + "/graphpim_el_bad.txt";
+// Writes `text` to the temporary edge-list file `name` and returns its
+// path. CTest runs tests in parallel processes, so each test uses its own.
+std::string WriteEdgeFile(const std::string& text,
+                          const std::string& name = "graphpim_el_bad.txt") {
+  const std::string path = ::testing::TempDir() + "/" + name;
   std::FILE* f = std::fopen(path.c_str(), "w");
   EXPECT_NE(f, nullptr);
   if (f != nullptr) {
@@ -527,6 +537,26 @@ std::string WriteEdgeFile(const std::string& text) {
     std::fclose(f);
   }
   return path;
+}
+
+// The header keeps the vertex count: vertices 2-4 have no edge, so the
+// largest id + 1 alone would load a two-vertex list.
+TEST(EdgeListIo, RoundTripKeepsIsolatedVertices) {
+  const EdgeList el(5, {{0, 1, 2}});
+  const std::string path = ::testing::TempDir() + "/graphpim_el_isolated.txt";
+  ASSERT_TRUE(SaveEdgeList(el, path));
+  EdgeList in;
+  ASSERT_TRUE(LoadEdgeList(path, &in));
+  EXPECT_EQ(in.num_vertices, 5u);
+  EXPECT_TRUE(in == el);
+  std::remove(path.c_str());
+
+  // A header count below the largest id + 1 does not shrink the list.
+  const std::string small =
+      WriteEdgeFile("# vertices 2 edges 1\n0 4 1\n", "graphpim_el_small.txt");
+  ASSERT_TRUE(LoadEdgeList(small, &in));
+  EXPECT_EQ(in.num_vertices, 5u);
+  std::remove(small.c_str());
 }
 
 // Every malformed line is a SimError naming the file and the 1-based
@@ -543,6 +573,10 @@ TEST(EdgeListIo, RejectsMalformedLines) {
       {"0 x\n", "line 1"},                    // not a number
       {"0 1 2\n7\n", "line 2"},               // no destination
       {"0 1 2x\n", "line 1"},                 // trailing bytes in a field
+      {"# vertices x edges 1\n0 1\n", "line 1"},           // a header count that is no number
+      {"# vertices -1 edges 0\n", "line 1"},                // a negative header count
+      {"# vertices 4294967296 edges 0\n0 1\n", "line 1"},  // a header count above 32 bits
+      {"# vertices\n", "line 1"},                           // a header without its count
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.text);

@@ -313,20 +313,21 @@ TEST(JsonJournal, CorruptNumberAndDeepLineAreDroppedAndResimulated) {
   const exec::SweepResultTable fresh = RunJournaled(grid, path);
   ASSERT_EQ(fresh.failed_rows, 0u);
 
-  // Corrupt the first row's cycle count the way "cycles":68820 becomes
-  // "cycles":68-20, and append a line nested far past the reader's cap.
+  // Corrupt the first row's end tick the way "end_tick":68820 becomes
+  // "end_tick":68-20, and append a line nested far past the reader's cap.
   std::vector<std::string> lines = Lines(ReadFile(path));
   ASSERT_GE(lines.size(), 2u);
   std::string& row = lines[1];
   ASSERT_EQ(row.rfind("{\"w\":0,", 0), 0u);
-  const std::size_t digit = row.find("\"cycles\":") + std::strlen("\"cycles\":") + 2;
+  const std::size_t digit =
+      row.find("\"end_tick\":") + std::strlen("\"end_tick\":") + 2;
   ASSERT_TRUE(row[digit] >= '0' && row[digit] <= '9') << row.substr(0, 200);
   row[digit] = '-';
   lines.push_back(std::string(200'000, '['));
   WriteLines(path, lines);
 
   exec::JournalData jd;
-  ASSERT_TRUE(exec::LoadJournal(path, &jd));
+  ASSERT_TRUE(exec::LoadJournal(path, grid, &jd));
   EXPECT_EQ(jd.fingerprint, exec::GridFingerprint(grid));
   EXPECT_EQ(jd.dropped_lines, 2u);
   ASSERT_EQ(jd.rows.size(), fresh.rows.size() - 1);
@@ -362,6 +363,12 @@ TEST(JsonJournal, RowMovedToAnotherCellIsResimulated) {
   ASSERT_EQ(lines[1].rfind("{\"w\":0,", 0), 0u);
   lines[1].replace(0, 7, "{\"w\":1,");
   WriteLines(path, lines);
+
+  // LoadJournal drops the foreign row like any other bad line.
+  exec::JournalData jd;
+  ASSERT_TRUE(exec::LoadJournal(path, grid, &jd));
+  EXPECT_EQ(jd.dropped_lines, 1u);
+  EXPECT_EQ(jd.rows.size(), 3u);
 
   // Row 2 is the cell the edited row claims: (prank, baseline).
   const exec::SweepResultTable resumed = RunJournaled(grid, path, true);
@@ -471,7 +478,7 @@ TEST(JsonFuzz, LoadJournalSurvivesMutatedRows) {
   WriteLines(path, lines);
 
   exec::JournalData jd;
-  ASSERT_TRUE(exec::LoadJournal(path, &jd));
+  ASSERT_TRUE(exec::LoadJournal(path, TinyGrid(), &jd));
   EXPECT_EQ(jd.fingerprint, exec::GridFingerprint(TinyGrid()));
   EXPECT_GT(jd.dropped_lines, 0u);
   EXPECT_GT(jd.rows.size(), 0u);

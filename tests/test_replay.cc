@@ -85,7 +85,8 @@ cpu::MicroOp BarrierOp() {
 // Replays `stream` to completion, returning the number of kBarrier stops.
 int CountBarrierStops(const cpu::UopStream& stream, double* insts_out) {
   FlatMem mem;
-  cpu::OooCore core(0, cpu::CoreParams(), &mem);
+  StatRegistry stats;
+  cpu::OooCore core(0, cpu::CoreParams(), &mem, &stats);
   core.Reset(&stream);
   int barriers = 0;
   while (true) {
@@ -98,7 +99,7 @@ int CountBarrierStops(const cpu::UopStream& stream, double* insts_out) {
     ++barriers;
     core.ReleaseBarrier(core.BarrierArrival());
   }
-  if (insts_out != nullptr) *insts_out = core.stats().Get("core.insts");
+  if (insts_out != nullptr) *insts_out = stats.Get("core.insts");
   return barriers;
 }
 

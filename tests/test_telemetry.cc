@@ -409,7 +409,7 @@ TEST(TelemetryJournal, SidecarsAreWrittenSkippedOnLoadAndJobsInvariant) {
 
   // Sidecars are annotations: loading restores the rows and drops nothing.
   exec::JournalData jd;
-  ASSERT_TRUE(exec::LoadJournal(p1, &jd));
+  ASSERT_TRUE(exec::LoadJournal(p1, grid, &jd));
   EXPECT_EQ(jd.rows.size(), 2u);
   EXPECT_EQ(jd.dropped_lines, 0u);
   std::remove(p1.c_str());

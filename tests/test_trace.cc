@@ -253,7 +253,7 @@ TEST(Journal, PhaseSidecarLinesAreWrittenAndSkippedOnLoad) {
   // Sidecars are annotations: loading must restore the row and count
   // nothing as dropped.
   exec::JournalData jd;
-  ASSERT_TRUE(exec::LoadJournal(path, &jd));
+  ASSERT_TRUE(exec::LoadJournal(path, grid, &jd));
   EXPECT_EQ(jd.rows.size(), 1u);
   EXPECT_EQ(jd.dropped_lines, 0u);
   EXPECT_EQ(core::ToJson(jd.rows[0].results), core::ToJson(t.rows[0].results));

@@ -37,7 +37,10 @@
 // a pure function of the flags — bit-identical across --jobs counts and
 // reruns (the serve-identity gate in scripts/golden_identity.sh diffs
 // exactly that region). The wall-clock line prints after the end marker.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <limits>
 #include <string>
@@ -60,19 +63,21 @@ using namespace graphpim;
 
 namespace {
 
-std::vector<double> ParseDoubleList(const std::string& arg,
-                                    const std::string& flag) {
-  std::vector<double> out;
+// Reads each non-empty entry of the comma list `arg` whole with `parse`,
+// which returns false for a malformed entry. A malformed entry or a list
+// with no entry is a SimError naming `flag` and what an entry must be.
+template <typename T, typename Parse>
+std::vector<T> ParseList(const std::string& arg, const char* flag,
+                         const char* want, Parse parse) {
+  std::vector<T> out;
   for (const std::string& part : Split(arg, ',')) {
     const std::string s = Trim(part);
     if (s.empty()) continue;
-    try {
-      out.push_back(std::stod(s));
-    } catch (const std::exception&) {
-      GP_THROW("bad value '", s, "' in --", flag);
-    }
+    T v{};
+    if (!parse(s, &v)) GP_THROW("--", flag, ": '", s, "' is not ", want);
+    out.push_back(v);
   }
-  GP_CHECK(!out.empty(), "--", flag, " needs at least one value");
+  if (out.empty()) GP_THROW("--", flag, " has no entry (each must be ", want, ")");
   return out;
 }
 
@@ -128,13 +133,16 @@ int Run(const Config& cfg) {
       exec::ParseModeList(cfg.GetString("modes", "baseline,graphpim"));
   std::string cubes_arg = cfg.GetString("num-cubes", "");
   if (cubes_arg.empty()) cubes_arg = cfg.GetString("num_cubes", "1");
-  const std::vector<double> cube_list = ParseDoubleList(cubes_arg, "num-cubes");
+  const std::vector<std::uint32_t> cube_list = ParseList<std::uint32_t>(
+      cubes_arg, "num-cubes", "a positive integer",
+      [](const std::string& s, std::uint32_t* v) {
+        const char* end = s.data() + s.size();
+        const auto [ptr, ec] = std::from_chars(s.data(), end, *v);
+        return ec == std::errc() && ptr == end && *v >= 1;
+      });
   std::vector<std::pair<std::string, core::SimConfig>> configs;
   for (core::Mode m : modes) {
-    for (double c : cube_list) {
-      const auto n = static_cast<std::uint32_t>(c);
-      GP_CHECK(n >= 1 && static_cast<double>(n) == c,
-               "--num-cubes entries must be positive integers");
+    for (std::uint32_t n : cube_list) {
       Config one = cfg;
       one.Set("num-cubes", std::to_string(n));
       one.Set("num_cubes", std::to_string(n));
@@ -158,7 +166,13 @@ int Run(const Config& cfg) {
   // --- offered-load grid ----------------------------------------------
   std::vector<double> qps_grid;
   if (cfg.Has("qps-grid")) {
-    qps_grid = ParseDoubleList(cfg.GetString("qps-grid", ""), "qps-grid");
+    qps_grid = ParseList<double>(
+        cfg.GetString("qps-grid", ""), "qps-grid", "a finite positive number",
+        [](const std::string& s, double* v) {
+          char* end = nullptr;
+          *v = std::strtod(s.c_str(), &end);
+          return *end == '\0' && std::isfinite(*v) && *v > 0.0;
+        });
   } else {
     qps_grid.push_back(cfg.GetDouble("qps", 1e6));
   }
