@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "common/config.h"
 #include "common/log.h"
@@ -248,10 +249,19 @@ void SimConfig::Validate() const {
   for (const KnobRow& row : kKnobs) {
     CheckKnobValue(row, row.get(*this));
   }
-  // Structural invariants not expressible as one-field ranges.
-  if (hmc.num_vaults == 0 || hmc.banks_per_vault == 0 || hmc.num_links == 0) {
-    GP_THROW("config: HMC geometry needs at least one vault, bank, and link");
+  // Structural invariants not expressible as one-field ranges. The memory
+  // geometry is indexed by shift and mask, so each count is a power of two.
+  const std::pair<const char*, std::uint64_t> geometry[] = {
+      {"hmc.num_vaults", hmc.num_vaults},
+      {"hmc.banks_per_vault", hmc.banks_per_vault},
+      {"hmc.row_bytes", hmc.row_bytes},
+      {"cache.l3_banks", cache.l3_banks}};
+  for (const auto& [name, value] : geometry) {
+    if (!IsPowerOfTwo(value)) {
+      GP_THROW("config: ", name, " must be a power of two, got ", value);
+    }
   }
+  if (hmc.num_links == 0) GP_THROW("config: HMC needs at least one link");
   if (quantum <= 0) GP_THROW("config: quantum must be positive");
   if (bus_lock_penalty < 0) {
     GP_THROW("config: bus_lock_penalty must be >= 0");

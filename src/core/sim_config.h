@@ -110,7 +110,8 @@ struct SimConfig {
   // Rejects invalid machines with a SimError naming the offending config
   // key: non-positive num_cores, pmr_hmc_fraction outside [0, 1],
   // num_cubes < 1, capacity/interleave mismatches, out-of-range fault
-  // knobs. Called by FromConfig and by RunSimulation, so programmatically
+  // knobs, and vault, bank, row or L3-bank counts that are not powers of
+  // two. Called by FromConfig and by RunSimulation, so programmatically
   // built configs get the same gate as parsed ones.
   void Validate() const;
 

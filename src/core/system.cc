@@ -159,24 +159,24 @@ MemOutcome MemorySystem::HostPath(int core, const MicroOp& op, Tick when,
   return out;
 }
 
+hmc::Completion MemorySystem::IssueRecovering(const MicroOp& op, Tick when,
+                                              trace::SpanRef span) {
+  auto issue = [&](Tick at) {
+    return op.type == OpType::kAtomic
+               ? network_->Atomic(op.addr, op.aop, hmc::Value16{},
+                                  op.WantReturn(), at, span)
+               : network_->Read(op.addr, op.size, at, span);
+  };
+  hmc::Completion c = issue(when);
+  if (!c.poisoned) return c;
+  stats_.Inc(sid_poison_reissues_);
+  c = issue(c.response_at_host);
+  if (c.poisoned) stats_.Inc(sid_poison_unrecovered_);
+  return c;
+}
+
 MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
                                     trace::SpanRef span) {
-  // Bounded recovery from a poisoned response (fault injection): the host
-  // re-issues the transaction once at the poisoned packet's arrival tick.
-  // A second poisoning is accepted as-is — real drivers surface it as an
-  // MCE rather than retrying forever.
-  auto reissue_once = [this](hmc::Completion c, auto issue_fn) {
-    if (c.poisoned) {
-      stats_.Inc(sid_poison_reissues_);
-      hmc::Completion retry = issue_fn(c.response_at_host);
-      if (!retry.poisoned) return retry;
-      stats_.Inc(sid_poison_unrecovered_);
-      retry.poisoned = true;
-      return retry;
-    }
-    return c;
-  };
-
   MemOutcome out;
   std::size_t slot = 0;
   Tick issue = AcquireUcSlot(core, when, &slot);
@@ -187,9 +187,7 @@ MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
   stats_.Add(sid_uc_slot_wait_ns_, TicksToNs(issue - when));
   switch (op.type) {
     case OpType::kLoad: {
-      hmc::Completion c = reissue_once(
-          network_->Read(op.addr, op.size, issue, span),
-          [&](Tick at) { return network_->Read(op.addr, op.size, at, span); });
+      hmc::Completion c = IssueRecovering(op, issue, span);
       stats_.Add(sid_uc_service_ns_, TicksToNs(c.response_at_host - issue));
       out.complete = c.response_at_host;
       out.retire_ready = c.response_at_host;
@@ -206,13 +204,7 @@ MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
       break;
     }
     case OpType::kAtomic: {
-      hmc::Completion c = reissue_once(
-          network_->Atomic(op.addr, op.aop, hmc::Value16{}, op.WantReturn(),
-                           issue, span),
-          [&](Tick at) {
-            return network_->Atomic(op.addr, op.aop, hmc::Value16{},
-                                    op.WantReturn(), at, span);
-          });
+      hmc::Completion c = IssueRecovering(op, issue, span);
       out.complete = c.response_at_host;
       out.retire_ready = op.WantReturn() ? c.response_at_host : issue;
       ReleaseUcSlot(core, slot,
@@ -271,15 +263,7 @@ MemOutcome MemorySystem::UPeiAtomic(int core, const MicroOp& op, Tick when,
       out.issue_stall_until = std::max(out.issue_stall_until, issue);
       Stamp(span, trace::SpanStage::kIssue, when + walk, issue);
     }
-    hmc::Completion c = network_->Atomic(op.addr, op.aop, hmc::Value16{},
-                                         op.WantReturn(), issue, span);
-    if (c.poisoned) {
-      // Same bounded recovery as the GraphPIM bypass path.
-      stats_.Inc(sid_poison_reissues_);
-      c = network_->Atomic(op.addr, op.aop, hmc::Value16{}, op.WantReturn(),
-                           c.response_at_host, span);
-      if (c.poisoned) stats_.Inc(sid_poison_unrecovered_);
-    }
+    hmc::Completion c = IssueRecovering(op, issue, span);
     out.complete = c.response_at_host;
     out.retire_ready = op.WantReturn() ? c.response_at_host : issue;
     ReleaseUcSlot(core, slot,

@@ -76,6 +76,13 @@ class MemorySystem : public cpu::MemoryInterface {
   cpu::MemOutcome BusLockAtomic(int core, const cpu::MicroOp& op, Tick when,
                                 trace::SpanRef span);
 
+  // Sends an uncacheable load or an offloaded atomic to the cube network at
+  // `when`. A poisoned response (fault injection) is re-issued once, at the
+  // poisoned packet's arrival tick; a second poisoning is accepted as-is —
+  // real drivers surface it as an MCE rather than retrying forever.
+  hmc::Completion IssueRecovering(const cpu::MicroOp& op, Tick when,
+                                  trace::SpanRef span);
+
   // kFlush/kFence handling. These never enter the span path (span ids stay
   // mode- and pmem-invariant for loads/stores/atomics) and are free no-ops
   // when the persist domain is off.

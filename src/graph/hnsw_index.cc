@@ -91,8 +91,8 @@ std::vector<Cand> HnswIndex::SearchLayer(const float* q, std::uint32_t ep,
   return out;
 }
 
-std::vector<std::uint32_t> HnswIndex::SelectNeighbors(
-    const float* q, std::vector<Cand> cands, int m) const {
+std::vector<std::uint32_t> HnswIndex::SelectNeighbors(std::vector<Cand> cands,
+                                                      int m) const {
   std::sort(cands.begin(), cands.end());
   std::vector<std::uint32_t> kept;
   std::vector<Cand> pruned;
@@ -154,7 +154,7 @@ void HnswIndex::Insert(std::uint32_t v) {
   for (int lc = std::min(l, max_level_); lc >= 0; --lc) {
     std::vector<Cand> w = SearchLayer(q, ep, p_.ef_construction, lc);
     const int cap = lc == 0 ? max_m0() : p_.m;
-    links_[v][static_cast<std::size_t>(lc)] = SelectNeighbors(q, w, cap);
+    links_[v][static_cast<std::size_t>(lc)] = SelectNeighbors(w, cap);
     for (std::uint32_t s : links_[v][static_cast<std::size_t>(lc)]) {
       std::vector<std::uint32_t>& ls = links_[s][static_cast<std::size_t>(lc)];
       ls.push_back(v);
@@ -166,7 +166,7 @@ void HnswIndex::Insert(std::uint32_t v) {
                                          vs_.dim()),
                         x});
         }
-        ls = SelectNeighbors(vs_.Vector(s), std::move(cs), cap);
+        ls = SelectNeighbors(std::move(cs), cap);
       }
     }
     ep = w.front().second;

@@ -111,10 +111,10 @@ class HnswIndex {
   // Beam search within one layer (build path; no visitor, no addresses).
   std::vector<std::pair<float, std::uint32_t>> SearchLayer(
       const float* q, std::uint32_t ep, int ef, int level) const;
-  // Distance-diversity selection over (dist, id) candidates, best first.
+  // Distance-diversity selection over (dist, id) candidates, best first;
+  // each candidate's dist is its distance to the vertex being linked.
   std::vector<std::uint32_t> SelectNeighbors(
-      const float* q, std::vector<std::pair<float, std::uint32_t>> cands,
-      int m) const;
+      std::vector<std::pair<float, std::uint32_t>> cands, int m) const;
   void Insert(std::uint32_t v);
   void Freeze(AddressSpace* space);
 

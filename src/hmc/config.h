@@ -23,6 +23,7 @@ CubeTopology ParseCubeTopology(const std::string& name);
 
 struct HmcParams {
   // Geometry: 8GB cube, 32 vaults, 512 DRAM banks total (16 per vault).
+  // The vault and bank counts and the row size are powers of two.
   std::uint64_t capacity_bytes = 8 * kGiB;
   std::uint32_t num_vaults = 32;
   std::uint32_t banks_per_vault = 16;

@@ -50,7 +50,9 @@ HmcCube::HmcCube(const HmcParams& params, StatRegistry* stats,
       sid_poisoned_ops_(fault_stats_.Counter("poisoned_ops")),
       sid_poisoned_atomics_(fault_stats_.Counter("poisoned_atomics")),
       fault_plan_(params.fault) {
-  GP_CHECK(params_.num_links > 0 && params_.num_vaults > 0);
+  GP_CHECK(params_.num_links > 0);
+  GP_CHECK(std::has_single_bit(params_.num_vaults),
+           "vault count must be a power of two");
   links_.reserve(params_.num_links);
   for (std::uint32_t i = 0; i < params_.num_links; ++i) {
     links_.emplace_back(params_.FlitTime());
@@ -65,22 +67,15 @@ HmcCube::HmcCube(const HmcParams& params, StatRegistry* stats,
 }
 
 std::uint32_t HmcCube::VaultOf(Addr addr) const {
-  const Addr block = addr / kVaultInterleave;
-  if (std::has_single_bit(params_.num_vaults)) {
-    return static_cast<std::uint32_t>(block & (params_.num_vaults - 1));
-  }
-  return static_cast<std::uint32_t>(block % params_.num_vaults);
+  return static_cast<std::uint32_t>((addr / kVaultInterleave) &
+                                    (params_.num_vaults - 1));
 }
 
 Addr HmcCube::VaultLocalAddr(Addr addr) const {
   // Strip the vault-interleave bits so the vault's bank/row decoding uses
   // independent address bits (512 distinct banks across the cube).
-  Addr block = addr / kVaultInterleave;
-  if (std::has_single_bit(params_.num_vaults)) {
-    block >>= std::countr_zero(params_.num_vaults);
-  } else {
-    block /= params_.num_vaults;
-  }
+  const Addr block =
+      (addr / kVaultInterleave) >> std::countr_zero(params_.num_vaults);
   return block * kVaultInterleave + (addr % kVaultInterleave);
 }
 

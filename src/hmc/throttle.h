@@ -11,6 +11,7 @@
 #ifndef GRAPHPIM_HMC_THROTTLE_H_
 #define GRAPHPIM_HMC_THROTTLE_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -25,11 +26,10 @@ class EpochThrottle {
   // or one controller slot); `epoch_ticks` the accounting granularity.
   EpochThrottle(Tick epoch_ticks, Tick per_unit_ticks, std::size_t window = 64)
       : epoch_ticks_(epoch_ticks), per_unit_ticks_(per_unit_ticks), used_(window, 0) {
-    GP_CHECK(epoch_ticks > 0 && per_unit_ticks > 0 && window > 0);
+    GP_CHECK(epoch_ticks > 0 && per_unit_ticks > 0);
+    GP_CHECK(std::has_single_bit(window), "window must be a power of two");
     capacity_ = static_cast<std::uint32_t>(epoch_ticks / per_unit_ticks);
     if (capacity_ == 0) capacity_ = 1;
-    // Window slot index is hot-path; default windows are powers of two.
-    if ((window & (window - 1)) == 0) slot_mask_ = window - 1;
   }
 
   // Reserves `units` starting no earlier than `when`; returns the tick at
@@ -62,9 +62,9 @@ class EpochThrottle {
   Tick busy_ticks() const { return busy_; }
 
  private:
+  // The window is a power of two, so the slot is a mask of the epoch.
   std::size_t Slot(std::uint64_t e) const {
-    return static_cast<std::size_t>(slot_mask_ != 0 ? (e & slot_mask_)
-                                                    : e % used_.size());
+    return static_cast<std::size_t>(e & (used_.size() - 1));
   }
 
   // floor(when / epoch_ticks_) with a cached last-epoch hint: reservation
@@ -103,7 +103,6 @@ class EpochThrottle {
   Tick per_unit_ticks_;
   std::uint32_t capacity_;
   std::vector<std::uint32_t> used_;
-  std::uint64_t slot_mask_ = 0;  // window-1 when the window is a power of two
   std::uint64_t base_epoch_ = 0;
   std::uint64_t hint_epoch_ = 0;  // EpochOf cache: floor(hint_start_/epoch)
   Tick hint_start_ = 0;           // == hint_epoch_ * epoch_ticks_

@@ -23,32 +23,24 @@ Vault::Vault(const HmcParams& params, StatRegistry* stats,
       int_fu_ready_(std::max<std::uint32_t>(1, params.fus_per_vault), 0),
       fp_fu_ready_(std::max<std::uint32_t>(1, params.fp_fus_per_vault), 0),
       ctrl_(25 * kTicksPerNs, std::max<Tick>(1, params.ctrl_overhead)) {
-  if (std::has_single_bit(params.row_bytes) &&
-      std::has_single_bit(params.banks_per_vault)) {
-    row_shift_ = static_cast<std::uint32_t>(std::countr_zero(params.row_bytes));
-    bank_shift_ =
-        static_cast<std::uint32_t>(std::countr_zero(params.banks_per_vault));
-    bank_mask_ = params.banks_per_vault - 1;
-    pow2_geometry_ = true;
-  }
+  GP_CHECK(std::has_single_bit(params.row_bytes),
+           "row size must be a power of two");
+  GP_CHECK(std::has_single_bit(params.banks_per_vault),
+           "bank count must be a power of two");
+  row_shift_ = static_cast<std::uint32_t>(std::countr_zero(params.row_bytes));
+  bank_shift_ =
+      static_cast<std::uint32_t>(std::countr_zero(params.banks_per_vault));
+  bank_mask_ = params.banks_per_vault - 1;
 }
 
 Vault::Bank& Vault::BankFor(Addr addr) {
   // The bank index within the vault: bits above the row offset, below the
-  // row number. The cube has already stripped vault interleaving. Row size
-  // and bank count are powers of two in every stock config, making both
-  // index extractions shifts; odd sweep geometries fall back to division.
-  if (pow2_geometry_) return banks_[(addr >> row_shift_) & bank_mask_];
-  return banks_[(addr / params_.row_bytes) % params_.banks_per_vault];
+  // row number. The cube has already stripped vault interleaving.
+  return banks_[(addr >> row_shift_) & bank_mask_];
 }
 
 std::int64_t Vault::RowOf(Addr addr) const {
-  if (pow2_geometry_) {
-    return static_cast<std::int64_t>(addr >> (row_shift_ + bank_shift_));
-  }
-  return static_cast<std::int64_t>(
-      addr /
-      (static_cast<std::uint64_t>(params_.row_bytes) * params_.banks_per_vault));
+  return static_cast<std::int64_t>(addr >> (row_shift_ + bank_shift_));
 }
 
 Tick Vault::BankAccess(Bank& bank, std::int64_t row, Tick start, bool* row_hit) {

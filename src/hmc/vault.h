@@ -110,9 +110,8 @@ class Vault {
   StatId sid_fu_fp_ops_;
   StatId sid_bank_locked_ticks_;
   std::vector<Bank> banks_;
-  // Shift/mask forms of the bank geometry (set when both row_bytes and
-  // banks_per_vault are powers of two — every stock config).
-  bool pow2_geometry_ = false;
+  // Shift/mask forms of the bank geometry: row_bytes and banks_per_vault
+  // are powers of two (checked here and by SimConfig::Validate).
   std::uint32_t row_shift_ = 0;
   std::uint32_t bank_shift_ = 0;
   std::uint64_t bank_mask_ = 0;

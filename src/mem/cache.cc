@@ -33,27 +33,25 @@ Addr CacheArray::LineAddr(std::uint32_t set, Addr tag) const {
   return (tag << (line_shift_ + set_shift_)) | (static_cast<Addr>(set) << line_shift_);
 }
 
-bool CacheArray::Lookup(Addr addr, bool update_lru) {
-  std::uint32_t set = SetOf(addr);
+CacheArray::Way* CacheArray::Find(Addr addr) {
+  Way* base = &ways_storage_[static_cast<std::size_t>(SetOf(addr)) * ways_];
   const std::uint64_t probe = ProbeOf(TagOf(addr));
-  Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
   for (std::uint32_t w = 0; w < ways_; ++w) {
-    if ((base[w].meta & ~std::uint64_t{2}) == probe) {
-      if (update_lru) base[w].lru = ++lru_clock_;
-      return true;
-    }
+    if ((base[w].meta & ~std::uint64_t{2}) == probe) return &base[w];
   }
-  return false;
+  return nullptr;
+}
+
+bool CacheArray::Lookup(Addr addr) {
+  Way* way = Find(addr);
+  if (way == nullptr) return false;
+  way->lru = ++lru_clock_;
+  return true;
 }
 
 bool CacheArray::Contains(Addr addr) const {
-  std::uint32_t set = SetOf(addr);
-  const std::uint64_t probe = ProbeOf(TagOf(addr));
-  const Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if ((base[w].meta & ~std::uint64_t{2}) == probe) return true;
-  }
-  return false;
+  // Find only reads the array; the cast lets this probe share its walk.
+  return const_cast<CacheArray*>(this)->Find(addr) != nullptr;
 }
 
 CacheArray::Victim CacheArray::Insert(Addr addr, bool dirty) {
@@ -87,30 +85,18 @@ CacheArray::Victim CacheArray::Insert(Addr addr, bool dirty) {
 }
 
 bool CacheArray::SetDirty(Addr addr) {
-  std::uint32_t set = SetOf(addr);
-  const std::uint64_t probe = ProbeOf(TagOf(addr));
-  Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if ((base[w].meta & ~std::uint64_t{2}) == probe) {
-      base[w].meta |= 2;
-      return true;
-    }
-  }
-  return false;
+  Way* way = Find(addr);
+  if (way == nullptr) return false;
+  way->meta |= 2;
+  return true;
 }
 
 bool CacheArray::Invalidate(Addr addr, bool* was_dirty) {
-  std::uint32_t set = SetOf(addr);
-  const std::uint64_t probe = ProbeOf(TagOf(addr));
-  Way* base = &ways_storage_[static_cast<std::size_t>(set) * ways_];
-  for (std::uint32_t w = 0; w < ways_; ++w) {
-    if ((base[w].meta & ~std::uint64_t{2}) == probe) {
-      if (was_dirty != nullptr) *was_dirty = base[w].dirty();
-      base[w].meta = 0;
-      return true;
-    }
-  }
-  return false;
+  Way* way = Find(addr);
+  if (way == nullptr) return false;
+  if (was_dirty != nullptr) *was_dirty = way->dirty();
+  way->meta = 0;
+  return true;
 }
 
 std::uint64_t CacheArray::ValidLines() const {

@@ -26,8 +26,8 @@ class CacheArray {
     Addr line_addr = 0;
   };
 
-  // Looks up `addr`; on a hit optionally promotes the line to MRU.
-  bool Lookup(Addr addr, bool update_lru = true);
+  // Looks up `addr`; on a hit promotes the line to MRU.
+  bool Lookup(Addr addr);
 
   // True if the line is present (no LRU update).
   bool Contains(Addr addr) const;
@@ -68,6 +68,11 @@ class CacheArray {
   // Valid-line probe word for `tag`: equals way.meta with the dirty bit
   // masked off iff the way is valid and holds `tag`.
   static std::uint64_t ProbeOf(Addr tag) { return (tag << 2) | 1; }
+
+  // The set walk behind Lookup, Contains, SetDirty and Invalidate: the way
+  // holding `addr`'s line, or nullptr. Insert walks the set itself, since
+  // it must also see the free and LRU ways.
+  Way* Find(Addr addr);
 
   std::uint32_t SetOf(Addr addr) const;
   Addr TagOf(Addr addr) const;

@@ -24,6 +24,8 @@ CacheHierarchy::CacheHierarchy(int num_cores, const CacheParams& params,
       sid_prefetch_covered_(stats_.Counter("prefetch_covered")) {
   GP_CHECK(num_cores > 0);
   GP_CHECK(mem != nullptr);
+  GP_CHECK(std::has_single_bit(params.l3_banks),
+           "L3 bank count must be a power of two");
   for (int i = 0; i < 3; ++i) {
     const std::string comp = ToString(static_cast<DataComponent>(i));
     sid_access_[i] = stats_.Counter("access." + comp);
@@ -42,7 +44,6 @@ CacheHierarchy::CacheHierarchy(int num_cores, const CacheParams& params,
   use_sharers_ = num_cores <= 64;
   mshr_ready_.assign(num_cores, std::vector<Tick>(params.mshrs_per_core, 0));
   l3_bank_ready_.assign(params.l3_banks, 0);
-  if (std::has_single_bit(params.l3_banks)) l3_bank_mask_ = params.l3_banks - 1;
   pf_streams_.assign(num_cores, std::vector<Addr>(params.prefetch_streams, ~Addr{0}));
   pf_next_slot_.assign(num_cores, 0);
 }
@@ -68,11 +69,10 @@ Addr CacheHierarchy::LineOf(Addr addr) const {
 }
 
 Tick CacheHierarchy::ReserveL3(Addr line, Tick when) {
-  // line_bytes is power-of-two (checked by CacheArray); banks usually are.
+  // Line size (checked by CacheArray) and bank count are powers of two.
   const std::size_t line_idx =
       static_cast<std::size_t>(line >> std::countr_zero(params_.line_bytes));
-  std::size_t bank = l3_bank_mask_ != 0 ? (line_idx & l3_bank_mask_)
-                                        : line_idx % l3_bank_ready_.size();
+  const std::size_t bank = line_idx & (l3_bank_ready_.size() - 1);
   Tick start = std::max(when, l3_bank_ready_[bank]);
   l3_bank_ready_[bank] = start + params_.l3_occupancy;
   return start;
@@ -88,40 +88,51 @@ std::size_t CacheHierarchy::AcquireMshr(int core, Tick when, Tick* start) {
   return idx;
 }
 
-bool CacheHierarchy::InvalidateRemote(int core, Addr line) {
+bool CacheHierarchy::DropPrivateCopies(Addr line, std::uint64_t mask,
+                                       int skip, bool* dirty) {
   bool any = false;
-  std::uint64_t mask = ~std::uint64_t{0};
-  std::uint64_t* entry = nullptr;
-  if (use_sharers_) {
-    entry = sharers_.Find(line);
-    if (entry == nullptr) return false;
-    mask = *entry;
-  }
   for (int c = 0; c < num_cores_; ++c) {
-    if (c == core) continue;
+    if (c == skip) continue;
     if (use_sharers_ && ((mask >> c) & 1) == 0) continue;
-    bool dirty = false;
-    bool in_l1 = l1_[c]->Invalidate(line, &dirty);
+    bool d1 = false;
     bool d2 = false;
-    bool in_l2 = l2_[c]->Invalidate(line, &d2);
-    if (in_l1 || in_l2) {
-      any = true;
-      // A dirty remote copy is forwarded; preserve it at the L3 level so
-      // it is not lost if the requester later evicts clean.
-      if (dirty || d2) l3_->SetDirty(line);
-    }
+    const bool in_l1 = l1_[c]->Invalidate(line, &d1);
+    const bool in_l2 = l2_[c]->Invalidate(line, &d2);
+    any = any || in_l1 || in_l2;
+    *dirty = *dirty || d1 || d2;
   }
-  // Only the requester can still hold (or is about to fill) the line.
-  if (entry != nullptr) *entry = std::uint64_t{1} << core;
   return any;
 }
 
-void CacheHierarchy::FillLine(int core, Addr line, Tick when, bool dirty) {
-  // Shared L3 first (inclusive of all private caches).
-  if (!l3_->Contains(line)) {
+bool CacheHierarchy::InvalidateRemote(int core, Addr line) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  if (use_sharers_) {
+    std::uint64_t* entry = sharers_.Find(line);
+    if (entry == nullptr) return false;
+    mask = *entry;
+    // Only the requester can still hold (or is about to fill) the line.
+    *entry = std::uint64_t{1} << core;
+  }
+  bool dirty = false;
+  const bool any = DropPrivateCopies(line, mask, core, &dirty);
+  // A dirty remote copy is forwarded; preserve it at the L3 level so it is
+  // not lost if the requester later evicts clean.
+  if (dirty) GP_CHECK(l3_->SetDirty(line), "private line missing from the L3");
+  return any;
+}
+
+void CacheHierarchy::FillAbove(int core, Addr line, int hit_level, Tick when,
+                               bool dirty) {
+  CacheArray& l1 = *l1_[core];
+  CacheArray& l2 = *l2_[core];
+  if (hit_level == 1) {
+    if (dirty) l1.SetDirty(line);
+    return;
+  }
+  if (hit_level == 0) {
+    // Shared L3 (inclusive of all private caches).
     CacheArray::Victim v3 = l3_->Insert(line, false);
     if (v3.valid) {
-      bool victim_dirty = v3.dirty;
       // Inclusive back-invalidation of the victim line everywhere; with
       // the sharers map, "everywhere" shrinks to the recorded holders and
       // the victim's entry dies with its L3 residency.
@@ -131,45 +142,31 @@ void CacheHierarchy::FillLine(int core, Addr line, Tick when, bool dirty) {
         vmask = ventry != nullptr ? *ventry : 0;
         if (ventry != nullptr) sharers_.Erase(v3.line_addr);
       }
-      for (int c = 0; c < num_cores_; ++c) {
-        if (use_sharers_ && ((vmask >> c) & 1) == 0) continue;
-        bool d1 = false;
-        bool d2 = false;
-        l1_[c]->Invalidate(v3.line_addr, &d1);
-        l2_[c]->Invalidate(v3.line_addr, &d2);
-        victim_dirty = victim_dirty || d1 || d2;
-      }
+      bool victim_dirty = v3.dirty;
+      DropPrivateCopies(v3.line_addr, vmask, /*skip=*/-1, &victim_dirty);
       if (victim_dirty) {
         mem_->Write(v3.line_addr, params_.line_bytes, when);
         stats_.Inc(sid_writebacks_);
       }
     }
   }
-  // Private L2.
-  if (!l2_[core]->Contains(line)) {
-    CacheArray::Victim v2 = l2_[core]->Insert(line, false);
+  if (hit_level != 2) {
+    // Private L2. Its victim leaves the L1 too, and a dirty one stays
+    // dirty in the L3, which holds it by inclusion.
+    CacheArray::Victim v2 = l2.Insert(line, false);
     if (v2.valid) {
       bool d1 = false;
-      l1_[core]->Invalidate(v2.line_addr, &d1);
+      l1.Invalidate(v2.line_addr, &d1);
       if (v2.dirty || d1) {
-        if (!l3_->SetDirty(v2.line_addr)) {
-          mem_->Write(v2.line_addr, params_.line_bytes, when);
-          stats_.Inc(sid_writebacks_);
-        }
+        GP_CHECK(l3_->SetDirty(v2.line_addr), "L2 victim missing from the L3");
       }
     }
   }
-  // Private L1.
-  if (!l1_[core]->Contains(line)) {
-    CacheArray::Victim v1 = l1_[core]->Insert(line, dirty);
-    if (v1.valid && v1.dirty) {
-      if (!l2_[core]->SetDirty(v1.line_addr) && !l3_->SetDirty(v1.line_addr)) {
-        mem_->Write(v1.line_addr, params_.line_bytes, when);
-        stats_.Inc(sid_writebacks_);
-      }
-    }
-  } else if (dirty) {
-    l1_[core]->SetDirty(line);
+  // Private L1; a dirty victim stays dirty in the L2, which holds it by
+  // inclusion.
+  CacheArray::Victim v1 = l1.Insert(line, dirty);
+  if (v1.valid && v1.dirty) {
+    GP_CHECK(l2.SetDirty(v1.line_addr), "L1 victim missing from the L2");
   }
   if (use_sharers_) sharers_[line] |= std::uint64_t{1} << core;
 }
@@ -206,71 +203,32 @@ AccessResult CacheHierarchy::AccessInternal(int core, AccessType type, Addr addr
   stats_.Inc(sid_access_[static_cast<int>(comp)]);
   if (type == AccessType::kAtomicRmw) stats_.Inc(sid_atomic_reqs_);
 
-  auto record_hit = [&](int level) {
+  CacheArray* const levels[3] = {l1_[core].get(), l2_[core].get(), l3_.get()};
+  const Tick latency[3] = {params_.l1_latency, params_.l2_latency,
+                           params_.l3_latency};
+  for (int i = 0; i < 3; ++i) {
+    if (i == 2) t = ReserveL3(line, t);  // the shared L3 is banked
+    t += latency[i];
+    res.check_ticks += latency[i];
+    if (!levels[i]->Lookup(line)) {
+      stats_.Inc(sid_misses_[i]);
+      continue;
+    }
+    const int level = i + 1;
     res.hit_level = level;
-    stats_.Inc(sid_hits_[level - 1]);
-  };
-  auto record_miss = [&](int level) {
-    stats_.Inc(sid_misses_[level - 1]);
-    if (level == 3) stats_.Inc(sid_l3_miss_[static_cast<int>(comp)]);
-  };
-
-  // L1 tag check.
-  t += params_.l1_latency;
-  res.check_ticks += params_.l1_latency;
-  if (l1_[core]->Lookup(line)) {
-    record_hit(1);
-    if (wants_exclusive) {
-      if (InvalidateRemote(core, line)) {
-        res.coherence_inval = true;
-        t += params_.snoop_latency;
-        res.check_ticks += params_.snoop_latency;
-        stats_.Inc(sid_coherence_invals_);
-      }
-      l1_[core]->SetDirty(line);
-    }
-    res.complete = t;
-    Stamp(span, trace::SpanStage::kCacheLookup, when, res.complete, 1);
-    return res;
-  }
-  record_miss(1);
-
-  // L2 tag check.
-  t += params_.l2_latency;
-  res.check_ticks += params_.l2_latency;
-  if (l2_[core]->Lookup(line)) {
-    record_hit(2);
+    stats_.Inc(sid_hits_[i]);
     if (wants_exclusive && InvalidateRemote(core, line)) {
       res.coherence_inval = true;
       t += params_.snoop_latency;
       res.check_ticks += params_.snoop_latency;
       stats_.Inc(sid_coherence_invals_);
     }
-    FillLine(core, line, t, wants_exclusive);
+    FillAbove(core, line, level, t, wants_exclusive);
     res.complete = t;
-    Stamp(span, trace::SpanStage::kCacheLookup, when, res.complete, 2);
+    Stamp(span, trace::SpanStage::kCacheLookup, when, res.complete, level);
     return res;
   }
-  record_miss(2);
-
-  // Shared L3 (banked).
-  Tick l3_start = ReserveL3(line, t);
-  t = l3_start + params_.l3_latency;
-  res.check_ticks += params_.l3_latency;
-  if (l3_->Lookup(line)) {
-    record_hit(3);
-    if (wants_exclusive && InvalidateRemote(core, line)) {
-      res.coherence_inval = true;
-      t += params_.snoop_latency;
-      res.check_ticks += params_.snoop_latency;
-      stats_.Inc(sid_coherence_invals_);
-    }
-    FillLine(core, line, t, wants_exclusive);
-    res.complete = t;
-    Stamp(span, trace::SpanStage::kCacheLookup, when, res.complete, 3);
-    return res;
-  }
-  record_miss(3);
+  stats_.Inc(sid_l3_miss_[static_cast<int>(comp)]);
   if (type == AccessType::kAtomicRmw) {
     stats_.Inc(sid_atomic_mem_misses_);
   }
@@ -282,9 +240,8 @@ AccessResult CacheHierarchy::AccessInternal(int core, AccessType type, Addr addr
   if (PrefetchCovers(core, line)) {
     mem_->Read(line, params_.line_bytes, t);
     stats_.Inc(sid_prefetch_covered_);
-    res.hit_level = 0;
     res.complete = t + params_.prefetch_hit_latency;
-    FillLine(core, line, res.complete, wants_exclusive);
+    FillAbove(core, line, 0, res.complete, wants_exclusive);
     return res;
   }
 
@@ -297,9 +254,8 @@ AccessResult CacheHierarchy::AccessInternal(int core, AccessType type, Addr addr
   }
   hmc::Completion c = mem_->Read(line, params_.line_bytes, issue, span);
   mshr_ready_[core][mshr] = c.response_at_host;
-  res.hit_level = 0;
   res.complete = c.response_at_host;
-  FillLine(core, line, c.response_at_host, wants_exclusive);
+  FillAbove(core, line, 0, c.response_at_host, wants_exclusive);
   return res;
 }
 

@@ -5,6 +5,7 @@
 // parallelism per core, and read-for-ownership invalidations on writes and
 // host atomics. Misses are filled from the HMC cube network, which also
 // receives dirty writebacks (their FLITs count toward Fig 12's bandwidth).
+// The levels are inclusive, so only the L3's victims are written back.
 //
 // Coherence is modeled at the cost level the paper measures: a write/RMW to
 // a line present in another core's private cache pays a snoop-invalidation
@@ -40,7 +41,7 @@ struct CacheParams {
   std::uint64_t l3_size = 16 * kMiB;
   std::uint32_t l3_ways = 16;
   Tick l3_latency = NsToTicks(20.0);  // 40 cycles
-  std::uint32_t l3_banks = 8;
+  std::uint32_t l3_banks = 8;  // a power of two
   Tick l3_occupancy = NsToTicks(1.0);  // per-access bank busy time
 
   std::uint32_t mshrs_per_core = 16;
@@ -96,13 +97,22 @@ class CacheHierarchy {
 
   Addr LineOf(Addr addr) const;
 
+  // Invalidates `line` in the private caches of every core in `mask` (all
+  // cores without the sharers map) but `skip`; returns true if any copy
+  // existed, and sets *dirty if a dropped copy was dirty.
+  bool DropPrivateCopies(Addr line, std::uint64_t mask, int skip, bool* dirty);
+
   // Invalidates `line` in other cores' private caches; returns true if any
   // copy existed. Dirty remote copies are (logically) forwarded.
   bool InvalidateRemote(int core, Addr line);
 
-  // Fills `line` into core-private L1/L2 and shared L3, handling evictions,
-  // writebacks, and inclusive back-invalidation. `when` is fill time.
-  void FillLine(int core, Addr line, Tick when, bool dirty);
+  // Fills `line` into the levels above `hit_level` (0 = memory or the
+  // prefetcher): L1 on an L2 hit, L2 and L1 on an L3 hit, all three from
+  // memory; an L1 hit only marks the line dirty. Handles evictions, the L3
+  // victim's writeback and inclusive back-invalidation; by inclusion a
+  // dirty L1 or L2 victim is found one level down, which is checked, not
+  // handled. `when` is fill time.
+  void FillAbove(int core, Addr line, int hit_level, Tick when, bool dirty);
 
   // Reserves an L3 bank slot; returns access start time.
   Tick ReserveL3(Addr line, Tick when);
@@ -132,8 +142,7 @@ class CacheHierarchy {
   std::unique_ptr<CacheArray> l3_;
 
   std::vector<std::vector<Tick>> mshr_ready_;  // [core][mshr] busy-until tick
-  std::vector<Tick> l3_bank_ready_;
-  std::size_t l3_bank_mask_ = 0;  // banks-1 when bank count is a power of two
+  std::vector<Tick> l3_bank_ready_;  // one per bank; a power of two
 
   // Host locked RMWs to the same line serialize (the line lock bounces
   // between cores); tracks when each line's previous RMW completed.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <future>
 #include <mutex>
@@ -22,12 +23,24 @@ namespace {
 // batch composition — not scheduling — decides the stream.
 constexpr std::uint64_t kBatchSalt = 0x5365727665426174ULL;  // "ServeBat"
 
-// A kind can be in the mix only if the resident graph can serve it: knn
-// needs the shared ANN index, which is a graph-build-time decision. Caught
-// here (orchestrating thread) rather than deep inside an emitter on a
-// pool worker.
-void CheckMixServable(const ServedGraph& sg, const TrafficSpec& ts) {
-  for (const MixEntry& me : ts.mix) {
+// The flag-reachable serve parameters throw SimError (caught at the tool's
+// main), never GP_CHECK-panic. RunServeGrid checks them on the calling
+// thread, so a bad flag fails before any point runs. A kind can be in the
+// mix only if the resident graph can serve it: knn needs the shared ANN
+// index, which is a graph-build-time decision, so it is caught here rather
+// than deep inside an emitter on a pool worker.
+void CheckServeParams(const ServedGraph& sg, const ServeParams& p) {
+  if (p.slots < 1) GP_THROW("serve needs at least one dispatch slot");
+  if (p.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
+  if (p.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
+  if (!(std::isfinite(p.dispatch_ns) && p.dispatch_ns >= 0.0)) {
+    GP_THROW("serve dispatch_ns must be finite and >= 0 (got ",
+             p.dispatch_ns, ")");
+  }
+  if (!(std::isfinite(p.slo_ns) && p.slo_ns >= 0.0)) {
+    GP_THROW("serve slo_ns must be finite and >= 0 (got ", p.slo_ns, ")");
+  }
+  for (const MixEntry& me : p.traffic.mix) {
     if (me.second > 0.0 && me.first == "knn" && !sg.has_ann()) {
       GP_THROW("traffic mix includes knn but the served graph has no ANN "
                "index: build the ServedGraph with enable_ann");
@@ -48,19 +61,11 @@ DropPolicy ParseDropPolicy(const std::string& s) {
 }
 
 ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params) {
-  // Flag-reachable parameters throw SimError (caught at the tool's main),
-  // never GP_CHECK-panic.
-  if (params.slots < 1) GP_THROW("serve needs at least one dispatch slot");
-  if (params.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
+  CheckServeParams(sg, params);
   if (params.batch_max > static_cast<std::size_t>(params.cfg.num_cores)) {
     GP_THROW("batch_max ", params.batch_max, " exceeds the config's ",
              params.cfg.num_cores, " cores: a batch maps one query per core");
   }
-  if (params.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
-  if (params.slo_ns < 0.0) {
-    GP_THROW("serve slo_ns must be >= 0 (got ", params.slo_ns, ")");
-  }
-  CheckMixServable(sg, params.traffic);
 
   TrafficSpec ts = params.traffic;
   ts.num_vertices = sg.graph().num_vertices();
@@ -292,15 +297,7 @@ ServeGridResult RunServeGrid(
     const std::function<void(const exec::SweepProgress&)>& on_progress) {
   if (configs.empty()) GP_THROW("serve grid needs at least one config");
   if (qps_grid.empty()) GP_THROW("serve grid needs at least one qps");
-  // Check the parameters on the calling thread, so a bad flag fails before
-  // any point runs.
-  if (base.slots < 1) GP_THROW("serve needs at least one dispatch slot");
-  if (base.batch_max < 1) GP_THROW("serve needs batch_max >= 1");
-  if (base.queue_depth < 1) GP_THROW("serve needs queue_depth >= 1");
-  if (base.slo_ns < 0.0) {
-    GP_THROW("serve slo_ns must be >= 0 (got ", base.slo_ns, ")");
-  }
-  CheckMixServable(sg, base.traffic);
+  CheckServeParams(sg, base);
   for (const auto& [name, cfg] : configs) {
     if (base.batch_max > static_cast<std::size_t>(cfg.num_cores)) {
       GP_THROW("batch_max ", base.batch_max, " exceeds the ", cfg.num_cores,

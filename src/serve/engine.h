@@ -109,7 +109,8 @@ struct ServePoint {
 
 // Runs one point to completion. Pure function; safe to call concurrently
 // on a shared ServedGraph. Throws SimError on inconsistent params
-// (batch_max > cfg.num_cores, zero slots/batch, empty schedule).
+// (batch_max > cfg.num_cores, zero slots/batch/queue, a negative or
+// non-finite dispatch_ns or slo_ns, a bad traffic spec).
 ServePoint RunServePoint(const ServedGraph& sg, const ServeParams& params);
 
 // A (config x qps) grid, run in parallel over a ThreadPool and harvested

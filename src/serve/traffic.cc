@@ -83,10 +83,13 @@ double UniformDraw(std::uint64_t seed, std::uint64_t stream_tag,
 std::vector<ServeRequest> GenerateSchedule(const TrafficSpec& spec) {
   if (spec.num_vertices == 0) GP_THROW("traffic spec needs num_vertices > 0");
   if (spec.num_requests == 0) GP_THROW("traffic spec needs num_requests > 0");
-  if (!(spec.qps > 0.0)) GP_THROW("traffic spec needs qps > 0");
+  if (!(std::isfinite(spec.qps) && spec.qps > 0.0)) {
+    GP_THROW("traffic spec needs a finite qps > 0, got ", spec.qps);
+  }
   if (spec.num_tenants == 0) GP_THROW("traffic spec needs num_tenants > 0");
-  if (spec.burst_mult < 1.0) {
-    GP_THROW("traffic spec burst_mult must be >= 1, got ", spec.burst_mult);
+  if (!(std::isfinite(spec.burst_mult) && spec.burst_mult >= 1.0)) {
+    GP_THROW("traffic spec burst_mult must be finite and >= 1, got ",
+             spec.burst_mult);
   }
   if (spec.p_enter_burst <= 0.0 || spec.p_enter_burst >= 1.0 ||
       spec.p_exit_burst <= 0.0 || spec.p_exit_burst >= 1.0) {

@@ -97,8 +97,9 @@ double UniformDraw(std::uint64_t seed, std::uint64_t stream_tag,
 // (arrivals are generated as a cumulative sum, so the order is inherent).
 // Kind names resolve through the QueryEmitter registry; roots come from
 // each kind's registered root sampler. Throws SimError on a degenerate
-// spec (no vertices, no requests, non-positive qps, out-of-range burst
-// parameters, empty mix, unknown kind name, negative weight).
+// spec (no vertices, no requests, a qps that is not finite and positive,
+// out-of-range or non-finite burst parameters, empty mix, unknown kind
+// name, negative weight).
 std::vector<ServeRequest> GenerateSchedule(const TrafficSpec& spec);
 
 }  // namespace graphpim::serve

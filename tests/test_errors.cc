@@ -4,9 +4,14 @@
 
 #include "common/config.h"
 #include "common/log.h"
+#include "core/sim_config.h"
 #include "graph/generator.h"
 #include "graph/region.h"
+#include "hmc/cube.h"
+#include "hmc/throttle.h"
+#include "hmc/topology.h"
 #include "mem/cache.h"
+#include "mem/hierarchy.h"
 #include "workloads/workload.h"
 
 namespace graphpim {
@@ -86,6 +91,54 @@ TEST(ErrorPaths, RegionExhaustionIsFatal) {
 TEST(ErrorPaths, CacheRejectsBadGeometry) {
   EXPECT_DEATH({ mem::CacheArray c(1000, 3, 64); }, "");
   EXPECT_DEATH({ mem::CacheArray c(4096, 4, 48); }, "power of two");
+}
+
+// The vault, bank, row and L3-bank counts are indexed by shift and mask: a
+// count that is not a power of two is a SimError naming its field.
+TEST(ErrorPaths, ValidateRejectsNonPowerOfTwoGeometry) {
+  struct Case {
+    const char* field;
+    void (*set)(core::SimConfig&);
+  };
+  const Case cases[] = {
+      {"hmc.num_vaults", [](core::SimConfig& c) { c.hmc.num_vaults = 24; }},
+      {"hmc.num_vaults", [](core::SimConfig& c) { c.hmc.num_vaults = 0; }},
+      {"hmc.banks_per_vault",
+       [](core::SimConfig& c) { c.hmc.banks_per_vault = 12; }},
+      {"hmc.row_bytes", [](core::SimConfig& c) { c.hmc.row_bytes = 384; }},
+      {"cache.l3_banks", [](core::SimConfig& c) { c.cache.l3_banks = 6; }},
+  };
+  for (const Case& k : cases) {
+    core::SimConfig sc = core::SimConfig::Scaled(core::Mode::kBaseline);
+    k.set(sc);
+    try {
+      sc.Validate();
+      ADD_FAILURE() << k.field << " was accepted";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find(k.field), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("power of two"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// Programs that build the models directly hit the same rule as a check.
+TEST(ErrorPaths, ConstructorsRejectNonPowerOfTwoGeometry) {
+  hmc::HmcParams vaults;
+  vaults.num_vaults = 24;
+  EXPECT_DEATH({ hmc::HmcCube cube(vaults); }, "vault count");
+  hmc::HmcParams banks;
+  banks.banks_per_vault = 12;
+  EXPECT_DEATH({ hmc::Vault vault(banks, nullptr); }, "bank count");
+  hmc::HmcParams rows;
+  rows.row_bytes = 384;
+  EXPECT_DEATH({ hmc::Vault vault(rows, nullptr); }, "row size");
+  hmc::HmcNetwork net(hmc::HmcParams(), nullptr, 0, 0);
+  mem::CacheParams cp;
+  cp.l3_banks = 6;
+  EXPECT_DEATH({ mem::CacheHierarchy hier(1, cp, &net); }, "L3 bank count");
+  EXPECT_DEATH({ hmc::EpochThrottle throttle(1000, 100, 48); }, "window");
 }
 
 TEST(ErrorPaths, CacheDoubleInsertIsBug) {

@@ -12,6 +12,7 @@
 
 #include "common/log.h"
 #include "core/report.h"
+#include "core/runner.h"
 #include "exec/journal.h"
 #include "exec/result_sink.h"
 #include "exec/sweep.h"
@@ -222,6 +223,24 @@ TEST(HmcFault, AtomicPoisoningAtFullRateFlagsEveryOp) {
   EXPECT_EQ(stats.Get("fault.poisoned_ops"), 8.0);
   // Reads are not atomics: they stay clean under poison_ppm.
   EXPECT_FALSE(cube.Read(0x9000, 64, 0).poisoned);
+}
+
+// Every atomic response poisoned, the re-issue's too: U-PEI's offloaded
+// misses and GraphPIM's bypass path each re-issue every offloaded atomic
+// exactly once and count every re-issue as unrecovered.
+TEST(HmcFault, PoisonedOffloadsAreReissuedOnce) {
+  const core::Experiment exp("ldbc", 4096, "bfs");
+  for (core::Mode mode : {core::Mode::kUPei, core::Mode::kGraphPim}) {
+    SCOPED_TRACE(core::ToString(mode));
+    core::SimConfig cfg = core::SimConfig::Scaled(mode);
+    cfg.hmc.fault.poison_ppm = 1'000'000;
+    const core::SimResults res = exp.Run(cfg);
+    const double offloaded = res.raw.Get("pou.offloaded_atomics");
+    EXPECT_GT(offloaded, 0.0);
+    EXPECT_EQ(res.raw.Get("pou.poison_reissues"), offloaded);
+    EXPECT_EQ(res.raw.Get("pou.poison_unrecovered"), offloaded);
+    EXPECT_EQ(res.raw.Get("fault.poisoned_atomics"), 2 * offloaded);
+  }
 }
 
 // The acceptance gate for the whole subsystem: all-zero knobs must leave

@@ -2,6 +2,10 @@
 // MSHR backpressure, prefetch coverage, and atomic line serialization.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
+#include "common/random.h"
 #include "hmc/topology.h"
 #include "mem/hierarchy.h"
 
@@ -18,6 +22,39 @@ struct Fixture {
   explicit Fixture(int cores = 2, CacheParams params = CacheParams())
       : net(hp, &stats, 0, 0), cp(params), hier(cores, cp, &net, &stats) {}
 };
+
+struct MixedAccess {
+  int core;
+  AccessType type;
+  Addr addr;
+  Tick when;
+};
+
+// `n` seeded accesses from cores [0, cores): 60% reads, 25% writes and 15%
+// atomics over `lines` lines, half of them to the first 64 lines so that
+// cores share lines, at nondecreasing times.
+std::vector<MixedAccess> SeededMix(int cores, int n, std::uint64_t lines,
+                                   std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MixedAccess> out;
+  out.reserve(static_cast<std::size_t>(n));
+  Tick t = 0;
+  for (int i = 0; i < n; ++i) {
+    MixedAccess a;
+    a.core = static_cast<int>(rng.NextBounded(static_cast<std::uint64_t>(cores)));
+    const double kind = rng.NextDouble();
+    a.type = kind < 0.60   ? AccessType::kRead
+             : kind < 0.85 ? AccessType::kWrite
+                           : AccessType::kAtomicRmw;
+    const std::uint64_t line =
+        rng.NextBool(0.5) ? rng.NextBounded(64) : rng.NextBounded(lines);
+    a.addr = line * 64 + rng.NextBounded(64);
+    t += rng.NextBounded(NsToTicks(20.0));
+    a.when = t;
+    out.push_back(a);
+  }
+  return out;
+}
 
 TEST(Hierarchy, MissThenHitLevels) {
   Fixture f;
@@ -124,6 +161,47 @@ TEST(Hierarchy, DirtyEvictionWritesBack) {
   }
   EXPECT_GE(f.stats.Get("cache.writebacks"), 1);
   EXPECT_DOUBLE_EQ(f.stats.Get("hmc.writes"), f.stats.Get("cache.writebacks"));
+
+  // Four cores writing shared lines: a remote dirty copy is forwarded into
+  // the L3 on invalidation, and dirty L1 and L2 victims stay dirty one level
+  // down (the fills check that inclusion), so memory sees only L3 victims'
+  // writebacks.
+  Fixture g(4, cp);
+  for (const MixedAccess& a : SeededMix(4, 20000, 256, 7)) {
+    g.hier.Access(a.core, a.type, a.addr, a.when);
+  }
+  EXPECT_GT(g.stats.Get("cache.coherence_invals"), 0);
+  EXPECT_GT(g.stats.Get("cache.writebacks"), 0);
+  EXPECT_DOUBLE_EQ(g.stats.Get("hmc.writes"), g.stats.Get("cache.writebacks"));
+}
+
+TEST(Hierarchy, FullScanMatchesSharersMap) {
+  // Up to 64 cores, coherence and back-invalidation visit only the cores a
+  // line's sharers mask names; above that they scan every core. The same
+  // accesses from cores 0-63 must give the same results either way.
+  CacheParams cp;
+  cp.l1_size = 1 * kKiB;
+  cp.l1_ways = 2;
+  cp.l2_size = 4 * kKiB;
+  cp.l2_ways = 4;
+  cp.l3_size = 64 * kKiB;
+  cp.l3_ways = 8;
+  Fixture map(64, cp);
+  Fixture scan(65, cp);
+  auto fields = [](const AccessResult& r) {
+    return std::make_tuple(r.complete, r.hit_level, r.coherence_inval,
+                           r.check_ticks, r.issue_stall);
+  };
+  const std::vector<MixedAccess> mix = SeededMix(64, 200000, 4096, 11);
+  for (std::size_t i = 0; i < mix.size(); ++i) {
+    const MixedAccess& a = mix[i];
+    ASSERT_EQ(fields(map.hier.Access(a.core, a.type, a.addr, a.when)),
+              fields(scan.hier.Access(a.core, a.type, a.addr, a.when)))
+        << "access " << i;
+  }
+  EXPECT_EQ(map.stats.AllItems(), scan.stats.AllItems());
+  EXPECT_GT(map.stats.Get("cache.coherence_invals"), 0);
+  EXPECT_GT(map.stats.Get("cache.writebacks"), 0);
 }
 
 TEST(Hierarchy, InclusiveBackInvalidation) {
