@@ -16,6 +16,7 @@
 #ifndef GRAPHPIM_COMMON_LINE_MAP_H_
 #define GRAPHPIM_COMMON_LINE_MAP_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -37,6 +38,17 @@ class LineMap {
   }
 
   std::size_t size() const { return size_; }
+
+  // Empties the map and keeps its grown capacity: lookups do not depend
+  // on capacity, so a cleared map behaves as a fresh one and a reused
+  // map skips the Grow calls it already made. An empty map (never filled,
+  // or erased back to empty) holds no stale slot and is left alone.
+  void Clear() {
+    if (size_ == 0) return;
+    std::fill(keys_.begin(), keys_.end(), kEmpty);
+    std::fill(vals_.begin(), vals_.end(), V{});
+    size_ = 0;
+  }
 
   // Pointer to the value for `key`, or nullptr if absent. Stable until the
   // next insert or erase.

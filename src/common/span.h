@@ -127,6 +127,10 @@ class SpanRecorder {
   const SpanLog& log() const { return log_; }
   SpanLog TakeLog() { return std::move(log_); }
 
+  // Drops every recorded span, so the cap and the span indices start over
+  // as in a freshly constructed recorder.
+  void Reset() { log_.spans.clear(); }
+
  private:
   double sample_rate_;
   std::uint64_t threshold_;  // sample iff hash(id) < threshold_

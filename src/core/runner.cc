@@ -3,18 +3,12 @@
 #include <algorithm>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "common/log.h"
-#include "common/string_util.h"
-#include "core/system.h"
-#include "cpu/core.h"
 
 namespace graphpim::core {
 
 namespace {
-
-using cpu::OooCore;
 
 // A counter that holds an event count. Counts are exact integers below
 // 2^53; the clamp only matters for a registry rebuilt from a damaged
@@ -94,136 +88,11 @@ SimResults Summarize(const SimConfig& cfg, StatRegistry raw, Tick end_tick) {
 
 SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                          Addr pmr_base, Addr pmr_end, const RunOptions& opts) {
-  cfg.Validate();
-  GP_CHECK(static_cast<int>(trace.streams.size()) <= cfg.num_cores,
-           "trace has more streams than cores");
-
-  // The flight recorder exists only when sampling is on: with the default
-  // trace_sample_rate == 0 every hook site downstream sees a null recorder
-  // and compiles to a never-taken branch.
-  std::unique_ptr<trace::SpanRecorder> spans;
-  if (cfg.trace_sample_rate > 0.0) {
-    spans = std::make_unique<trace::SpanRecorder>(cfg.trace_sample_rate,
-                                                  cfg.trace_max_spans);
-  }
-
-  // The memory system's registry is the run's: every component and every
-  // core counts into it, and Summarize derives the results from it.
-  MemorySystem mem(cfg, pmr_base, pmr_end, spans.get());
-  std::vector<std::unique_ptr<OooCore>> cores;
-  std::vector<OooCore::Status> status;
-  static const cpu::UopStream kEmpty;
-  for (int i = 0; i < cfg.num_cores; ++i) {
-    cores.push_back(std::make_unique<OooCore>(i, cfg.core, &mem, &mem.stats()));
-    const auto* stream = i < static_cast<int>(trace.streams.size())
-                             ? &trace.streams[static_cast<std::size_t>(i)]
-                             : &kEmpty;
-    cores.back()->Reset(stream);
-    status.push_back(OooCore::Status::kRunning);
-  }
-
-  // Phases: each BSP superstep ends at a barrier rendezvous; cutting there
-  // captures the counters that superstep accrued. Interval logs (DESIGN.md
-  // §10, §17) read the live run registry at each cut.
-  if (opts.phases != nullptr) *opts.phases = trace::IntervalLog();
-  Tick phase_start = 0;
-  std::uint64_t superstep = 0;
-  auto cut_phase = [&](const char* what, Tick end) {
-    if (opts.phases == nullptr) return;
-    opts.phases->Cut(
-        StrFormat("%s.%llu", what, static_cast<unsigned long long>(superstep)),
-        phase_start, end, mem.stats());
-    phase_start = end;
-  };
-
-  // Telemetry windows (DESIGN.md §17): like the flight recorder, a window
-  // log exists only when the knob is on AND a log is attached, so the
-  // default path never builds one. Gauges read the live machine through
-  // the memory system at each cut.
-  trace::IntervalLog* windows = nullptr;
-  if (opts.timeline != nullptr) *opts.timeline = trace::IntervalLog();
-  if (opts.timeline != nullptr && cfg.telemetry_window_ns > 0.0) {
-    windows = opts.timeline;
-    *windows = trace::IntervalLog(
-        NsToTicks(cfg.telemetry_window_ns), cfg.telemetry_max_windows,
-        [&mem](Tick start, Tick end, trace::Items* out) {
-          mem.SampleTelemetryGauges(start, end, out);
-        });
-  }
-
-  // Loosely-synchronized quantum loop with barrier rendezvous. Each round
-  // advances every running core to quantum_end in index order, then either
-  // finishes, releases the barrier rendezvous, or skips dead time.
-  Tick quantum_end = cfg.quantum;
-  while (true) {
-    for (int i = 0; i < cfg.num_cores; ++i) {
-      if (status[i] == OooCore::Status::kRunning) {
-        status[i] = cores[static_cast<std::size_t>(i)]->Advance(quantum_end);
-      }
-    }
-    // Telemetry window cuts key off the round's quantum_end before it is
-    // updated below, so the cut points depend only on simulated time.
-    if (windows != nullptr && quantum_end >= windows->next_boundary()) {
-      windows->AdvanceTo(quantum_end, &mem.stats());
-    }
-    bool all_done = true;
-    bool any_running = false;
-    for (int i = 0; i < cfg.num_cores; ++i) {
-      if (status[i] == OooCore::Status::kRunning) any_running = true;
-      if (status[i] != OooCore::Status::kDone) all_done = false;
-    }
-    if (all_done) break;
-    if (!any_running) {
-      // Everyone alive is parked at the same barrier: release at the
-      // latest arrival.
-      Tick release = 0;
-      for (int i = 0; i < cfg.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kBarrier) {
-          release = std::max(release, cores[static_cast<std::size_t>(i)]->BarrierArrival());
-        }
-      }
-      cut_phase("superstep", release);
-      ++superstep;
-      for (int i = 0; i < cfg.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kBarrier) {
-          cores[static_cast<std::size_t>(i)]->ReleaseBarrier(release);
-          status[i] = OooCore::Status::kRunning;
-        }
-      }
-      quantum_end = std::max(quantum_end, release + cfg.quantum);
-    } else {
-      // Skip dead time: jump to the earliest tick any running core can
-      // issue again (long stalls otherwise cost one loop pass per quantum).
-      Tick next = ~Tick{0};
-      for (int i = 0; i < cfg.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kRunning) {
-          next = std::min(next, cores[static_cast<std::size_t>(i)]->NextReadyTick());
-        }
-      }
-      quantum_end = std::max(quantum_end + cfg.quantum, next + cfg.quantum);
-    }
-  }
-
-  Tick end_tick = 0;
-  for (const auto& c : cores) end_tick = std::max(end_tick, c->Now());
-  cut_phase("drain", end_tick);
-  if (windows != nullptr) windows->Finish(end_tick, &mem.stats());
-  // Seal the persist domain and fold the flight recorder's per-stage
-  // latency histograms before Summarize, so pmem.unpersisted_at_end and
-  // span.* are in the registry the report sees.
-  if (mem.persist_domain() != nullptr) mem.persist_domain()->Finish(end_tick);
-  if (spans != nullptr) trace::FoldSpanStats(spans->log(), &mem.stats());
-
-  // The memory system is done counting; its registry moves into the
-  // results.
-  SimResults r = Summarize(cfg, std::move(mem.stats()), end_tick);
+  Machine machine(cfg, pmr_base, pmr_end);
+  const Tick end_tick = machine.Replay(trace, opts);
+  // The machine replays no more; its registry moves into the results.
+  SimResults r = Summarize(cfg, std::move(machine).TakeStats(), end_tick);
   r.trace_peak_bytes = trace.BytesUsed();
-  if (opts.spans != nullptr && spans != nullptr) {
-    *opts.spans = spans->TakeLog();
-  }
-  if (opts.persist != nullptr && mem.persist_domain() != nullptr) {
-    *opts.persist = mem.persist_domain()->TakeLog();
-  }
   return r;
 }
 

@@ -18,7 +18,7 @@
 #include <memory>
 #include <string>
 
-#include "common/trace.h"
+#include "core/machine.h"
 #include "core/results.h"
 #include "core/sim_config.h"
 #include "graph/csr.h"
@@ -30,48 +30,17 @@
 
 namespace graphpim::core {
 
-// Optional instrumentation attached to one simulation run. The two
-// interval logs follow one rule: a run overwrites each attached log, so a
-// log reused across runs holds only the last run's intervals.
-struct RunOptions {
-  // When non-null, receives a barrier log: one interval at every BSP
-  // superstep boundary (the barrier rendezvous) plus a final drain
-  // interval, each carrying the counter deltas of the run's registry.
-  trace::IntervalLog* phases = nullptr;
-
-  // When non-null AND cfg.trace_sample_rate > 0, receives the run's
-  // sampled transaction spans (overwritten, not appended). The recorder
-  // itself lives inside RunSimulation; with sample_rate == 0 no recorder
-  // is built and this stays untouched. Span statistics (span.*) are folded
-  // into SimResults::raw whenever sampling is on, regardless of this
-  // pointer.
-  trace::SpanLog* spans = nullptr;
-
-  // When non-null AND cfg.pmem.enable, receives the run's persist log (one
-  // PersistStoreEvent per PMR store, with issue/persist ticks) — the input
-  // to the crash/recovery harness. Untouched when the persist domain is
-  // off.
-  pmem::PersistLog* persist = nullptr;
-
-  // When non-null, receives a window log (DESIGN.md §17): windows of
-  // cfg.telemetry_window_ns carrying counter deltas and machine gauges,
-  // cut at the end of each replay-loop round, so the log is bit-identical
-  // across reruns. With window_ns == 0 no window log is built and this
-  // receives an empty log.
-  trace::IntervalLog* timeline = nullptr;
-};
-
-// THE simulation entry point. Replays `trace` under `cfg` (which is
+// THE simulation entry point: builds one Machine for `cfg` (which is
 // Validate()d first, so hand-built configs get the same gate as parsed
-// ones). `pmr_base`/`pmr_end` delimit the PMR the POU recognizes. `opts`
-// carries per-run instrumentation; callers with none pass `RunOptions{}` —
+// ones), replays `trace` on it once and Summarizes the run.
+// `pmr_base`/`pmr_end` delimit the PMR the POU recognizes. `opts` carries
+// per-run instrumentation; callers with none pass `RunOptions{}` —
 // deliberately no default, so every call site states its instrumentation
 // intent and there is exactly one overload to audit.
 //
-// The replay runs on the calling thread: one loosely-synchronized quantum
-// loop advances the cores in index order against the shared memory system
-// and starts no threads. Independent runs (--jobs, sweeps, serve grids) go
-// in parallel on an exec::ThreadPool, since each call owns all its state.
+// Each call owns all its state, so independent runs (--jobs, sweeps) go in
+// parallel on an exec::ThreadPool. Callers that replay many short traces
+// on one config keep a Machine instead (core/machine.h).
 SimResults RunSimulation(const workloads::Trace& trace, const SimConfig& cfg,
                          Addr pmr_base, Addr pmr_end, const RunOptions& opts);
 

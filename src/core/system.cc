@@ -1,5 +1,7 @@
 #include "core/system.h"
 
+#include <algorithm>
+
 #include "common/log.h"
 
 namespace graphpim::core {
@@ -38,6 +40,20 @@ MemorySystem::MemorySystem(const SimConfig& cfg, Addr pmr_base, Addr pmr_end,
   if (spans_ != nullptr) {
     span_seq_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
   }
+}
+
+void MemorySystem::Reset() {
+  // The registry first: the network and the persist domain set their
+  // build-time counters again.
+  stats_.Reset();
+  network_->Reset();
+  hierarchy_->Reset();
+  if (pmem_ != nullptr) pmem_->Reset();
+  for (auto& pool : uc_slots_) std::fill(pool.begin(), pool.end(), 0);
+  std::fill(upei_check_ready_.begin(), upei_check_ready_.end(), 0);
+  std::fill(span_seq_.begin(), span_seq_.end(), 0);
+  bus_lock_ready_ = 0;
+  tele_link_busy_ = 0;
 }
 
 Tick MemorySystem::AcquireUcSlot(int core, Tick when, std::size_t* slot) {

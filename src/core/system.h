@@ -43,6 +43,13 @@ class MemorySystem : public cpu::MemoryInterface {
 
   cpu::MemOutcome Access(int core, const cpu::MicroOp& op, Tick when) override;
 
+  // Restores the cold state of a freshly built memory system: zeroed
+  // counters (the registry keeps its names, so every StatId stays valid),
+  // empty caches, idle cubes and links, fresh fault streams, an empty
+  // persist domain and idle UC slots. The flight recorder is its owner's
+  // to reset.
+  void Reset();
+
   StatRegistry& stats() { return stats_; }
   const StatRegistry& stats() const { return stats_; }
   const hmc::HmcNetwork& network() const { return *network_; }

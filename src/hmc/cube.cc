@@ -66,6 +66,13 @@ HmcCube::HmcCube(const HmcParams& params, StatRegistry* stats,
   }
 }
 
+void HmcCube::Reset() {
+  for (Link& link : links_) link.Reset();
+  for (auto& vault : vaults_) vault->Reset();
+  fault_plan_ = fault::FaultPlan(params_.fault);
+  store_.clear();
+}
+
 std::uint32_t HmcCube::VaultOf(Addr addr) const {
   return static_cast<std::uint32_t>((addr / kVaultInterleave) &
                                     (params_.num_vaults - 1));

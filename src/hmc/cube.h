@@ -64,6 +64,12 @@ class HmcCube {
                     bool want_return, Tick when,
                     trace::SpanRef span = trace::SpanRef());
 
+  // Restores the cold state of a freshly built cube: idle links and
+  // vaults, a fault plan back at its first decision of every stream, and
+  // an empty backing store. Functional mode is a setting and stays;
+  // counters are the registry's.
+  void Reset();
+
   // Functional mode: when enabled, Atomic() reads/modifies/writes the
   // sparse backing store so callers can observe data values. Replay-only
   // simulations leave it off.

@@ -48,6 +48,14 @@ class Link {
 
   Tick busy_ticks() const { return tx_.busy_ticks() + rx_.busy_ticks(); }
 
+  // Idles both lanes, as in a freshly constructed link.
+  void Reset() {
+    tx_.Reset();
+    rx_.Reset();
+    tx_tail_ = 0;
+    rx_tail_ = 0;
+  }
+
  private:
   static constexpr Tick kEpoch = 25 * kTicksPerNs;
 

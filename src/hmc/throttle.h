@@ -11,6 +11,7 @@
 #ifndef GRAPHPIM_HMC_THROTTLE_H_
 #define GRAPHPIM_HMC_THROTTLE_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -60,6 +61,16 @@ class EpochThrottle {
   }
 
   Tick busy_ticks() const { return busy_; }
+
+  // Forgets every reservation: the throttle then answers as a freshly
+  // constructed one.
+  void Reset() {
+    std::fill(used_.begin(), used_.end(), 0);
+    base_epoch_ = 0;
+    hint_epoch_ = 0;
+    hint_start_ = 0;
+    busy_ = 0;
+  }
 
  private:
   // The window is a power of two, so the slot is a mask of the epoch.

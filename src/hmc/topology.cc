@@ -51,10 +51,9 @@ HmcNetwork::HmcNetwork(const HmcParams& params, StatRegistry* stats,
     sid_hop_traversals_ = stats_.Counter("hop_traversals");
     sid_hop_flits_ = stats_.Counter("hop_flits");
     sid_hop_ns_ = stats_.Counter("hop_ns");
-    stats_.Set(stats_.Counter("cubes"), static_cast<double>(params_.num_cubes));
-    stats_.Set(stats_.Counter("capacity_gib"),
-               static_cast<double>(TotalCapacityBytes()) /
-                   static_cast<double>(kGiB));
+    sid_cubes_ = stats_.Counter("cubes");
+    sid_capacity_gib_ = stats_.Counter("capacity_gib");
+    SetSizeCounters();
     const std::uint32_t edges =
         params_.cube_topology == CubeTopology::kChain ? params_.num_cubes - 1
                                                       : 1;
@@ -63,6 +62,18 @@ HmcNetwork::HmcNetwork(const HmcParams& params, StatRegistry* stats,
       hop_links_.emplace_back(params_.FlitTime());
     }
   }
+}
+
+void HmcNetwork::SetSizeCounters() {
+  stats_.Set(sid_cubes_, static_cast<double>(params_.num_cubes));
+  stats_.Set(sid_capacity_gib_, static_cast<double>(TotalCapacityBytes()) /
+                                    static_cast<double>(kGiB));
+}
+
+void HmcNetwork::Reset() {
+  for (auto& cube : cubes_) cube->Reset();
+  for (Link& link : hop_links_) link.Reset();
+  if (params_.num_cubes > 1) SetSizeCounters();
 }
 
 std::uint32_t HmcNetwork::HopsTo(std::uint32_t cube) const {

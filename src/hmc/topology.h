@@ -111,6 +111,12 @@ class HmcNetwork {
                     bool want_return, Tick when,
                     trace::SpanRef span = trace::SpanRef());
 
+  // Restores the cold state of a freshly built network: every cube and
+  // hop link idle. Call it after resetting the registry: a multi-cube
+  // network sets its hmc.cubes and hmc.capacity_gib counters again, as
+  // its constructor does.
+  void Reset();
+
   // Functional mode fans out to every cube; functional reads/writes route
   // to the home cube's backing store under the carved local address.
   void set_functional(bool on);
@@ -164,6 +170,9 @@ class HmcNetwork {
   // path to `cube`.
   std::uint32_t HopEdge(std::uint32_t cube, std::uint32_t h) const;
 
+  // Sets the counters that describe the network's size (multi-cube only).
+  void SetSizeCounters();
+
   HmcParams params_;
   CubeMap map_;
   trace::SpanRecorder* spans_ = nullptr;  // may be null (tracing off)
@@ -173,6 +182,8 @@ class HmcNetwork {
   StatId sid_hop_traversals_;
   StatId sid_hop_flits_;
   StatId sid_hop_ns_;
+  StatId sid_cubes_;
+  StatId sid_capacity_gib_;
   std::vector<std::unique_ptr<HmcCube>> cubes_;
   std::vector<Link> hop_links_;  // one full-duplex link per inter-cube edge
 };

@@ -33,6 +33,15 @@ Vault::Vault(const HmcParams& params, StatRegistry* stats,
   bank_mask_ = params.banks_per_vault - 1;
 }
 
+void Vault::Reset() {
+  std::fill(banks_.begin(), banks_.end(), Bank{});
+  std::fill(int_fu_ready_.begin(), int_fu_ready_.end(), 0);
+  std::fill(fp_fu_ready_.begin(), fp_fu_ready_.end(), 0);
+  ctrl_.Reset();
+  int_fu_busy_ = 0;
+  fp_fu_busy_ = 0;
+}
+
 Vault::Bank& Vault::BankFor(Addr addr) {
   // The bank index within the vault: bits above the row offset, below the
   // row number. The cube has already stripped vault interleaving.

@@ -52,6 +52,10 @@ class Vault {
   AccessResult Atomic(Addr addr, AtomicOp op, Tick arrival,
                       trace::SpanRef span = trace::SpanRef());
 
+  // Closes every row and idles the banks, the FUs and the controller, as
+  // in a freshly constructed vault. Counters are the registry's.
+  void Reset();
+
   // Total busy time accumulated by the FU pools (for the energy model).
   Tick int_fu_busy() const { return int_fu_busy_; }
   Tick fp_fu_busy() const { return fp_fu_busy_; }

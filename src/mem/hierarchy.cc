@@ -48,6 +48,20 @@ CacheHierarchy::CacheHierarchy(int num_cores, const CacheParams& params,
   pf_next_slot_.assign(num_cores, 0);
 }
 
+void CacheHierarchy::Reset() {
+  for (auto& l1 : l1_) l1->Clear();
+  for (auto& l2 : l2_) l2->Clear();
+  l3_->Clear();
+  for (auto& pool : mshr_ready_) std::fill(pool.begin(), pool.end(), 0);
+  std::fill(l3_bank_ready_.begin(), l3_bank_ready_.end(), 0);
+  atomic_line_ready_.Clear();
+  sharers_.Clear();
+  for (auto& streams : pf_streams_) {
+    std::fill(streams.begin(), streams.end(), ~Addr{0});
+  }
+  std::fill(pf_next_slot_.begin(), pf_next_slot_.end(), 0);
+}
+
 bool CacheHierarchy::PrefetchCovers(int core, Addr line) {
   if (params_.prefetch_streams == 0) return false;
   auto& streams = pf_streams_[static_cast<std::size_t>(core)];

@@ -82,6 +82,11 @@ class CacheHierarchy {
   // (1/2/3, 0 = miss everywhere). Used by the idealized U-PEI policy.
   int ProbeLevel(int core, Addr addr) const;
 
+  // Restores the cold state of a freshly built hierarchy: empty arrays,
+  // idle MSHRs and L3 banks, no line locks, sharers or prefetch streams.
+  // The counters belong to the registry and are left as they are.
+  void Reset();
+
   int num_cores() const { return num_cores_; }
   const CacheParams& params() const { return params_; }
 

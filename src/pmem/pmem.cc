@@ -30,15 +30,26 @@ PersistDomain::PersistDomain(const PmemParams& params, Addr pmr_base,
       sid_unpersisted_(stats->Intern("pmem.unpersisted_at_end")) {
   GP_CHECK(stats != nullptr);
   GP_CHECK(pmr_end > pmr_base);
-  // Touch every pmem.* counter so a persistent run always carries the full
-  // family (the report section keys off pmem.flushes being present). The
-  // domain only exists when pmem.enable=1, so passthrough runs never see
-  // these names.
+  // The domain only exists when pmem.enable=1, so passthrough runs never
+  // see these names.
+  TouchCounters();
+}
+
+void PersistDomain::TouchCounters() {
   for (StatId id : {sid_stores_, sid_flushes_, sid_redundant_flushes_,
                     sid_fences_, sid_flush_ns_, sid_fence_ns_, sid_persisted_,
                     sid_unpersisted_}) {
     stats_->Add(id, 0.0);
   }
+}
+
+void PersistDomain::Reset() {
+  lines_.clear();
+  store_seq_.clear();
+  pending_lines_.clear();
+  pending_flush_done_.clear();
+  log_ = PersistLog{};
+  TouchCounters();
 }
 
 void PersistDomain::OnStore(int core, Addr addr, std::uint8_t size, Tick when) {

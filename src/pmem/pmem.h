@@ -105,12 +105,21 @@ class PersistDomain {
   // (pmem.unpersisted_at_end) and stamps the log's end tick.
   void Finish(Tick end_tick);
 
+  // Restores the state of a freshly built domain: no stores, flushes or
+  // fences seen, an empty log, and the pmem.* counters touched again.
+  // Call it after resetting the registry.
+  void Reset();
+
   PersistLog TakeLog() { return std::move(log_); }
   const PersistLog& log() const { return log_; }
 
   bool InPmr(Addr a) const { return a >= pmr_base_ && a < pmr_end_; }
 
  private:
+  // Touches every pmem.* counter, so a persistent run always carries the
+  // full family (the report section keys off pmem.flushes being present).
+  void TouchCounters();
+
   // Per-core, per-line persist state.
   struct LineState {
     std::vector<std::size_t> dirty;    // log indices stored since last flush

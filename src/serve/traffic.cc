@@ -159,6 +159,12 @@ std::vector<ServeRequest> GenerateSchedule(const TrafficSpec& spec) {
     // log strictly positive for u in [0,1).
     const double u = UniformDraw(spec.seed, kArrivalStream, i);
     clock_ns += -std::log(1.0 - u) / rate * 1e9;
+    // Checked in ns: NsToTicks of a value past the Tick range is undefined.
+    if (!(clock_ns < kServeClockLimitNs)) {
+      GP_THROW("traffic spec qps ", spec.qps, " puts request ", i, " at ",
+               clock_ns, " ns, past the serve clock's ", kServeClockLimitNs,
+               " ns");
+    }
 
     ServeRequest r;
     r.id = i;

@@ -68,6 +68,13 @@ using MixEntry = std::pair<std::string, double>;
 // parser has no registry dependency).
 std::vector<MixEntry> ParseMixSpec(const std::string& s);
 
+// The serve clock's range in simulated ns: 2^62 ps, about 53 days.
+// Arrival times, dispatch costs and batch completions stay below it, so
+// their conversions to Ticks (64-bit picoseconds, about 213 days) and the
+// sums of those Ticks cannot wrap.
+inline constexpr double kServeClockLimitNs =
+    0x1p62 / static_cast<double>(kTicksPerNs);
+
 struct TrafficSpec {
   ArrivalModel model = ArrivalModel::kPoisson;
   double qps = 1e6;                 // nominal offered load (queries/s,
@@ -99,7 +106,8 @@ double UniformDraw(std::uint64_t seed, std::uint64_t stream_tag,
 // each kind's registered root sampler. Throws SimError on a degenerate
 // spec (no vertices, no requests, a qps that is not finite and positive,
 // out-of-range or non-finite burst parameters, empty mix, unknown kind
-// name, negative weight).
+// name, negative weight), and on a qps so low that an arrival would fall
+// past kServeClockLimitNs.
 std::vector<ServeRequest> GenerateSchedule(const TrafficSpec& spec);
 
 }  // namespace graphpim::serve

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/config.h"
+#include "common/line_map.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/string_util.h"
@@ -362,6 +363,52 @@ TEST(Histogram, PercentileSkipsEmptyBucketsAndClampsOverflow) {
   // Out-of-range p is clamped rather than UB.
   EXPECT_DOUBLE_EQ(h.Percentile(150), 500.0);
   EXPECT_GE(h.Percentile(-5), 0.0);
+}
+
+
+// A cleared map keeps its grown capacity but answers every insert, lookup
+// and erase as a freshly constructed one does.
+TEST(LineMap, ClearMatchesAFreshMap) {
+  LineMap<Tick> used(16);
+  for (Addr k = 0; k < 1000; ++k) used[k * 64] = k + 1;
+  for (Addr k = 0; k < 1000; k += 3) used.Erase(k * 64);
+  used.Clear();
+  EXPECT_EQ(used.size(), 0u);
+  EXPECT_EQ(used.Find(64), nullptr);
+  LineMap<Tick> fresh(16);
+  SplitMix64 rng(3);
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t r = rng.Next();
+    const Addr key = (r >> 8) % 2048 * 64;
+    switch (r % 3) {
+      case 0: {
+        const Tick* a = used.Find(key);
+        const Tick* b = fresh.Find(key);
+        ASSERT_EQ(a == nullptr, b == nullptr) << i;
+        if (a != nullptr) {
+          EXPECT_EQ(*a, *b) << i;
+        }
+        break;
+      }
+      case 1:
+        ASSERT_EQ(used[key], fresh[key]) << i;
+        used[key] += r;
+        fresh[key] += r;
+        break;
+      default:
+        used.Erase(key);
+        fresh.Erase(key);
+    }
+    ASSERT_EQ(used.size(), fresh.size()) << i;
+  }
+  for (Addr k = 0; k < 2048; ++k) {
+    const Tick* a = used.Find(k * 64);
+    const Tick* b = fresh.Find(k * 64);
+    ASSERT_EQ(a == nullptr, b == nullptr) << k;
+    if (a != nullptr) {
+      EXPECT_EQ(*a, *b) << k;
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "hmc/cube.h"
 #include "hmc/flit.h"
 #include "hmc/throttle.h"
+#include "hmc/vault.h"
 
 namespace graphpim::hmc {
 namespace {
@@ -63,9 +65,56 @@ TEST(Throttle, TracksBusyTime) {
   EXPECT_EQ(t.busy_ticks(), 300u);
 }
 
+// After a reset, the same reservations (out-of-order times and epoch
+// spills included) return the ticks they returned on the new throttle.
+TEST(Throttle, ResetReplaysTheSameTicks) {
+  EpochThrottle t(1000, 100, 8);
+  auto reserve = [&t] {
+    std::vector<Tick> out;
+    for (Tick when : {0, 0, 5000, 250, 99000, 98000, 98000, 0}) {
+      out.push_back(t.Reserve(4, when));
+    }
+    out.push_back(t.busy_ticks());
+    return out;
+  };
+  const std::vector<Tick> first = reserve();
+  t.Reserve(7, 123456789);
+  t.Reset();
+  EXPECT_EQ(t.busy_ticks(), 0u);
+  EXPECT_EQ(reserve(), first);
+}
+
 HmcParams TestParams() {
   HmcParams p;
   return p;
+}
+
+// After a reset, the same reads, writes and atomics (row hits, conflicts
+// and FU queueing included) return the ticks they returned on the new
+// vault, and the busy and backlog gauges start over.
+TEST(Vault, ResetReplaysTheSameTicks) {
+  const HmcParams p = TestParams();
+  Vault v(p, nullptr);
+  auto access = [&v] {
+    std::vector<Tick> out;
+    for (int i = 0; i < 12; ++i) {
+      const Addr addr = static_cast<Addr>(i % 5) * 4096 + (i % 3) * 64;
+      const Tick at = static_cast<Tick>(i) * 3000;
+      const Vault::AccessResult r =
+          i % 3 == 0   ? v.Read(addr, at)
+          : i % 3 == 1 ? v.Write(addr, at)
+                       : v.Atomic(addr, AtomicOp::kAdd16, at);
+      out.insert(out.end(), {r.data_ready, r.done, Tick{r.row_hit}});
+    }
+    out.insert(out.end(), {v.int_fu_busy(), v.fp_fu_busy(), v.MaxBankReady(),
+                           Tick{v.BusyBanksAt(0)}});
+    return out;
+  };
+  const std::vector<Tick> first = access();
+  v.Reset();
+  EXPECT_EQ(v.MaxBankReady(), 0u);
+  EXPECT_EQ(v.int_fu_busy(), 0u);
+  EXPECT_EQ(access(), first);
 }
 
 TEST(Cube, VaultMappingCoversAllVaults) {

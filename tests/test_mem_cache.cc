@@ -1,10 +1,46 @@
 // Tests for the set-associative cache array.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.h"
 #include "mem/cache.h"
 
 namespace graphpim::mem {
 namespace {
+
+// Drives `c` with a SplitMix64 stream of lookups, inserts of absent
+// lines, dirty marks and invalidations over 64 lines of an 8-set array,
+// and records every answer, victims included.
+std::vector<std::uint64_t> Drive(CacheArray& c, std::uint64_t seed, int ops) {
+  SplitMix64 rng(seed);
+  std::vector<std::uint64_t> out;
+  for (int i = 0; i < ops; ++i) {
+    const std::uint64_t r = rng.Next();
+    const Addr addr = (r >> 8) % 64 * 64;
+    switch (r % 4) {
+      case 0:
+        out.push_back(c.Lookup(addr));
+        break;
+      case 1:
+        if (!c.Contains(addr)) {
+          const CacheArray::Victim v = c.Insert(addr, ((r >> 4) & 1) != 0);
+          out.insert(out.end(), {v.valid, v.dirty, v.line_addr});
+        }
+        break;
+      case 2:
+        out.push_back(c.SetDirty(addr));
+        break;
+      default: {
+        bool dirty = false;
+        out.push_back(c.Invalidate(addr, &dirty));
+        out.push_back(dirty);
+      }
+    }
+  }
+  out.push_back(c.ValidLines());
+  return out;
+}
 
 TEST(CacheArray, Geometry) {
   CacheArray c(32 * kKiB, 8, 64);
@@ -71,6 +107,18 @@ TEST(CacheArray, ValidLinesCount) {
   c.Insert(0x0, false);
   c.Insert(0x40, false);
   EXPECT_EQ(c.ValidLines(), 2u);
+}
+
+// A cleared array empties every set and restarts its LRU clock, so later
+// lookups, inserts and victims equal a fresh array's.
+TEST(CacheArray, ClearMatchesAFreshArray) {
+  CacheArray used(1024, 2, 64);  // 8 sets x 2 ways
+  Drive(used, 1, 500);
+  ASSERT_GT(used.ValidLines(), 0u);
+  used.Clear();
+  EXPECT_EQ(used.ValidLines(), 0u);
+  CacheArray fresh(1024, 2, 64);
+  EXPECT_EQ(Drive(used, 2, 500), Drive(fresh, 2, 500));
 }
 
 TEST(CacheArray, CapacityBoundedBySize) {
