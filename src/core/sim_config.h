@@ -111,8 +111,9 @@ struct SimConfig {
   // key: non-positive num_cores, pmr_hmc_fraction outside [0, 1],
   // num_cubes < 1, capacity/interleave mismatches, out-of-range fault
   // knobs, and vault, bank, row or L3-bank counts that are not powers of
-  // two. Called by FromConfig and by RunSimulation, so programmatically
-  // built configs get the same gate as parsed ones.
+  // two. Called by FromConfig and by the Machine constructor (so by
+  // RunSimulation too), so programmatically built configs get the same
+  // gate as parsed ones.
   void Validate() const;
 
   // Human-readable machine line. The tunable-knob section is generated
