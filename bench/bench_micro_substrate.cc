@@ -1,11 +1,13 @@
 // google-benchmark microbenchmarks of the simulation substrates: cache
-// lookups, HMC accesses, graph generation, CSR construction, and end-to-end
-// trace replay throughput.
+// lookups, HMC accesses, bandwidth and slot reservations, graph generation,
+// CSR construction, and end-to-end trace replay throughput.
 #include <benchmark/benchmark.h>
 
+#include "common/slot_pool.h"
 #include "core/runner.h"
 #include "graph/generator.h"
 #include "hmc/cube.h"
+#include "hmc/throttle.h"
 #include "mem/cache.h"
 #include "mem/hierarchy.h"
 
@@ -64,6 +66,40 @@ void BM_HmcAtomic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HmcAtomic);
+
+// BM_HmcRead and BM_HmcAtomic only move time forward. The cores of a
+// replay reach a link or a vault controller out of order, so here the
+// timestamps jitter by up to three epochs around a rising clock: each
+// reservation may land before the last one, and the window slides.
+void BM_ThrottleReserve(benchmark::State& state) {
+  hmc::HmcParams hp;
+  constexpr Tick kEpoch = 25 * kTicksPerNs;
+  hmc::EpochThrottle lane(kEpoch, hp.FlitTime());
+  Rng rng(5);
+  Tick clock = 3 * kEpoch;
+  for (auto _ : state) {
+    clock += 500;
+    const Tick when = clock - 3 * kEpoch + rng.NextBounded(6 * kEpoch);
+    const auto flits = static_cast<std::uint32_t>(1 + rng.NextBounded(5));
+    benchmark::DoNotOptimize(lane.Reserve(flits, when));
+  }
+}
+BENCHMARK(BM_ThrottleReserve);
+
+// One MSHR or UC-slot booking on a core's 16 slots: requests a few ns
+// apart, each holding its slot for 20-60 ns, so the pool stays busy.
+void BM_SlotPool(benchmark::State& state) {
+  SlotPool slots(16);
+  Rng rng(6);
+  Tick clock = 0;
+  for (auto _ : state) {
+    clock += 2 * kTicksPerNs;
+    const Tick issue = slots.Acquire(clock + rng.NextBounded(2 * kTicksPerNs));
+    slots.Release(issue + NsToTicks(20.0) + rng.NextBounded(40 * kTicksPerNs));
+    benchmark::DoNotOptimize(issue);
+  }
+}
+BENCHMARK(BM_SlotPool);
 
 void BM_RmatGenerate(benchmark::State& state) {
   graph::RmatParams p;

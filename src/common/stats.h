@@ -85,13 +85,15 @@ class StatRegistry {
   StatId Intern(std::string_view name);
 
   // --- Hot path: O(1) indexed updates, zero allocation. ---------------
+  // Add and Inc run on every simulated access, and an LTO build left
+  // out-of-line copies of them, so they are forced inline.
 
-  void Add(StatId id, double v) {
+  [[gnu::always_inline]] void Add(StatId id, double v) {
     values_[id.index()] += v;
     touched_[id.index()] = 1;
   }
 
-  void Inc(StatId id) { Add(id, 1.0); }
+  [[gnu::always_inline]] void Inc(StatId id) { Add(id, 1.0); }
 
   void Set(StatId id, double v) {
     values_[id.index()] = v;
@@ -187,10 +189,10 @@ class StatScope {
     return StatScope(registry_, std::move(full));
   }
 
-  void Add(StatId id, double v) const {
+  [[gnu::always_inline]] void Add(StatId id, double v) const {
     if (registry_ != nullptr) registry_->Add(id, v);
   }
-  void Inc(StatId id) const {
+  [[gnu::always_inline]] void Inc(StatId id) const {
     if (registry_ != nullptr) registry_->Inc(id);
   }
   void Set(StatId id, double v) const {

@@ -41,14 +41,21 @@ Tick Machine::Replay(const workloads::Trace& trace, const RunOptions& opts) {
   mem_->Reset();
 
   MemorySystem& mem = *mem_;
-  std::vector<OooCore::Status> status;
+  // The cores not yet done, in index order, with their last status.
+  struct LiveCore {
+    OooCore* core;
+    OooCore::Status status;
+  };
+  std::vector<LiveCore> live;
+  live.reserve(cores_.size());
   static const cpu::UopStream kEmpty;
   for (int i = 0; i < cfg_.num_cores; ++i) {
     const auto* stream = i < static_cast<int>(trace.streams.size())
                              ? &trace.streams[static_cast<std::size_t>(i)]
                              : &kEmpty;
-    cores_[static_cast<std::size_t>(i)]->Reset(stream);
-    status.push_back(OooCore::Status::kRunning);
+    OooCore* core = cores_[static_cast<std::size_t>(i)].get();
+    core->Reset(stream);
+    live.push_back({core, OooCore::Status::kRunning});
   }
 
   // Phases: each BSP superstep ends at a barrier rendezvous; cutting there
@@ -82,55 +89,51 @@ Tick Machine::Replay(const workloads::Trace& trace, const RunOptions& opts) {
 
   // Loosely-synchronized quantum loop with barrier rendezvous. Each round
   // advances every running core to quantum_end in index order, then either
-  // finishes, releases the barrier rendezvous, or skips dead time.
+  // finishes, releases the barrier rendezvous, or skips dead time. A round
+  // visits only the live cores, once: a core's NextReadyTick reads only
+  // its own state, so it is taken right after the core's Advance, and a
+  // done core leaves the list.
   Tick quantum_end = cfg_.quantum;
   while (true) {
-    for (int i = 0; i < cfg_.num_cores; ++i) {
-      if (status[i] == OooCore::Status::kRunning) {
-        status[i] = cores_[static_cast<std::size_t>(i)]->Advance(quantum_end);
+    bool any_running = false;
+    Tick next = ~Tick{0};
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      LiveCore c = live[i];
+      if (c.status == OooCore::Status::kRunning) {
+        c.status = c.core->Advance(quantum_end);
       }
+      if (c.status == OooCore::Status::kDone) continue;
+      if (c.status == OooCore::Status::kRunning) {
+        any_running = true;
+        next = std::min(next, c.core->NextReadyTick());
+      }
+      live[kept++] = c;
     }
+    live.resize(kept);
     // Telemetry window cuts key off the round's quantum_end before it is
     // updated below, so the cut points depend only on simulated time.
     if (windows != nullptr && quantum_end >= windows->next_boundary()) {
       windows->AdvanceTo(quantum_end, &mem.stats());
     }
-    bool all_done = true;
-    bool any_running = false;
-    for (int i = 0; i < cfg_.num_cores; ++i) {
-      if (status[i] == OooCore::Status::kRunning) any_running = true;
-      if (status[i] != OooCore::Status::kDone) all_done = false;
-    }
-    if (all_done) break;
+    if (live.empty()) break;
     if (!any_running) {
       // Everyone alive is parked at the same barrier: release at the
       // latest arrival.
       Tick release = 0;
-      for (int i = 0; i < cfg_.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kBarrier) {
-          release = std::max(
-              release, cores_[static_cast<std::size_t>(i)]->BarrierArrival());
-        }
+      for (const LiveCore& c : live) {
+        release = std::max(release, c.core->BarrierArrival());
       }
       cut_phase("superstep", release);
       ++superstep;
-      for (int i = 0; i < cfg_.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kBarrier) {
-          cores_[static_cast<std::size_t>(i)]->ReleaseBarrier(release);
-          status[i] = OooCore::Status::kRunning;
-        }
+      for (LiveCore& c : live) {
+        c.core->ReleaseBarrier(release);
+        c.status = OooCore::Status::kRunning;
       }
       quantum_end = std::max(quantum_end, release + cfg_.quantum);
     } else {
       // Skip dead time: jump to the earliest tick any running core can
       // issue again (long stalls otherwise cost one loop pass per quantum).
-      Tick next = ~Tick{0};
-      for (int i = 0; i < cfg_.num_cores; ++i) {
-        if (status[i] == OooCore::Status::kRunning) {
-          next = std::min(next,
-                          cores_[static_cast<std::size_t>(i)]->NextReadyTick());
-        }
-      }
       quantum_end = std::max(quantum_end + cfg_.quantum, next + cfg_.quantum);
     }
   }

@@ -35,7 +35,7 @@ MemorySystem::MemorySystem(const SimConfig& cfg, Addr pmr_base, Addr pmr_end,
                                                   &stats_);
   }
   uc_slots_.assign(static_cast<std::size_t>(cfg_.num_cores),
-                   std::vector<Tick>(static_cast<std::size_t>(cfg_.uc_queue_depth), 0));
+                   SlotPool(static_cast<std::size_t>(cfg_.uc_queue_depth)));
   upei_check_ready_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
   if (spans_ != nullptr) {
     span_seq_.assign(static_cast<std::size_t>(cfg_.num_cores), 0);
@@ -49,21 +49,11 @@ void MemorySystem::Reset() {
   network_->Reset();
   hierarchy_->Reset();
   if (pmem_ != nullptr) pmem_->Reset();
-  for (auto& pool : uc_slots_) std::fill(pool.begin(), pool.end(), 0);
+  for (SlotPool& slots : uc_slots_) slots.Reset();
   std::fill(upei_check_ready_.begin(), upei_check_ready_.end(), 0);
   std::fill(span_seq_.begin(), span_seq_.end(), 0);
   bus_lock_ready_ = 0;
   tele_link_busy_ = 0;
-}
-
-Tick MemorySystem::AcquireUcSlot(int core, Tick when, std::size_t* slot) {
-  auto& pool = uc_slots_[static_cast<std::size_t>(core)];
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < pool.size(); ++i) {
-    if (pool[i] < pool[best]) best = i;
-  }
-  *slot = best;
-  return when > pool[best] ? when : pool[best];
 }
 
 bool MemorySystem::HmcSupports(const MicroOp& op) const {
@@ -194,8 +184,8 @@ hmc::Completion MemorySystem::IssueRecovering(const MicroOp& op, Tick when,
 MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
                                     trace::SpanRef span) {
   MemOutcome out;
-  std::size_t slot = 0;
-  Tick issue = AcquireUcSlot(core, when, &slot);
+  SlotPool& slots = uc_slots_[static_cast<std::size_t>(core)];
+  const Tick issue = slots.Acquire(when);
   if (issue > when) {
     out.issue_stall_until = issue;
     Stamp(span, trace::SpanStage::kIssue, when, issue);
@@ -207,7 +197,7 @@ MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
       stats_.Add(sid_uc_service_ns_, TicksToNs(c.response_at_host - issue));
       out.complete = c.response_at_host;
       out.retire_ready = c.response_at_host;
-      ReleaseUcSlot(core, slot, c.response_at_host);
+      slots.Release(c.response_at_host);
       stats_.Inc(sid_uc_reads_);
       break;
     }
@@ -215,7 +205,7 @@ MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
       hmc::Completion c = network_->Write(op.addr, op.size, issue, span);
       out.complete = c.response_at_host;
       out.retire_ready = issue;  // posted
-      ReleaseUcSlot(core, slot, c.internal_done);
+      slots.Release(c.internal_done);
       stats_.Inc(sid_uc_writes_);
       break;
     }
@@ -223,8 +213,7 @@ MemOutcome MemorySystem::BypassPath(int core, const MicroOp& op, Tick when,
       hmc::Completion c = IssueRecovering(op, issue, span);
       out.complete = c.response_at_host;
       out.retire_ready = op.WantReturn() ? c.response_at_host : issue;
-      ReleaseUcSlot(core, slot,
-                    op.WantReturn() ? c.response_at_host : c.internal_done);
+      slots.Release(op.WantReturn() ? c.response_at_host : c.internal_done);
       stats_.Add(sid_dbg_atomic_hold_ns_,
                  TicksToNs((op.WantReturn() ? c.response_at_host : c.internal_done) - issue));
       out.offloaded = true;
@@ -273,8 +262,8 @@ MemOutcome MemorySystem::UPeiAtomic(int core, const MicroOp& op, Tick when,
     // (locality monitoring), then offloads; no fill on the way back.
     Tick walk = cp.l1_latency + cp.l2_latency + cp.l3_latency;
     Stamp(span, trace::SpanStage::kCacheLookup, when, when + walk, 0);
-    std::size_t slot = 0;
-    Tick issue = AcquireUcSlot(core, when + walk, &slot);
+    SlotPool& slots = uc_slots_[static_cast<std::size_t>(core)];
+    const Tick issue = slots.Acquire(when + walk);
     if (issue > when + walk) {
       out.issue_stall_until = std::max(out.issue_stall_until, issue);
       Stamp(span, trace::SpanStage::kIssue, when + walk, issue);
@@ -282,8 +271,7 @@ MemOutcome MemorySystem::UPeiAtomic(int core, const MicroOp& op, Tick when,
     hmc::Completion c = IssueRecovering(op, issue, span);
     out.complete = c.response_at_host;
     out.retire_ready = op.WantReturn() ? c.response_at_host : issue;
-    ReleaseUcSlot(core, slot,
-                  op.WantReturn() ? c.response_at_host : c.internal_done);
+    slots.Release(op.WantReturn() ? c.response_at_host : c.internal_done);
     out.check_ticks = walk;
     out.offloaded = true;
     stats_.Inc(sid_upei_offloaded_);
@@ -324,11 +312,7 @@ void MemorySystem::SampleTelemetryGauges(
   // POU in-flight: UC/WC buffer slots still reserved past the cut — the
   // offloaded-request pressure GraphPIM moves out of the cache hierarchy.
   std::uint64_t inflight = 0;
-  for (const auto& pool : uc_slots_) {
-    for (Tick done : pool) {
-      if (done > win_end) ++inflight;
-    }
-  }
+  for (const SlotPool& slots : uc_slots_) inflight += slots.BusyAfter(win_end);
   out->emplace_back("tele.pou.inflight", static_cast<double>(inflight));
 
   // Vault queue depth: banks still reserved past the cut, plus how far the

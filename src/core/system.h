@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/slot_pool.h"
 #include "common/span.h"
 #include "common/stats.h"
 #include "core/sim_config.h"
@@ -108,15 +109,6 @@ class MemorySystem : public cpu::MemoryInterface {
   // true unless pmr_hmc_fraction < 1).
   bool PageInHmc(Addr addr) const;
 
-  // Each core holds a bounded number of outstanding uncacheable/offloaded
-  // requests (its WC/UC buffer). Reserves a slot no earlier than `when`;
-  // returns the issue tick. Call ReleaseUcSlot with the downstream
-  // completion to free it.
-  Tick AcquireUcSlot(int core, Tick when, std::size_t* slot);
-  void ReleaseUcSlot(int core, std::size_t slot, Tick done) {
-    uc_slots_[static_cast<std::size_t>(core)][slot] = done;
-  }
-
   SimConfig cfg_;
   trace::SpanRecorder* spans_;  // may be null (tracing off)
   // Per-core memory-request ordinals for span request ids. Maintained only
@@ -138,7 +130,10 @@ class MemorySystem : public cpu::MemoryInterface {
   std::unique_ptr<mem::CacheHierarchy> hierarchy_;
   std::unique_ptr<pmem::PersistDomain> pmem_;  // null when pmem.enable=0
   cpu::PimOffloadUnit pou_;  // identical in every core; modeled once
-  std::vector<std::vector<Tick>> uc_slots_;
+  // Each core holds a bounded number of outstanding uncacheable/offloaded
+  // requests (its WC/UC buffer); a request holds its slot until its
+  // downstream completion.
+  std::vector<SlotPool> uc_slots_;
 
   // U-PEI locality checks occupy a per-core cache-checking unit; this is
   // the "unnecessary cache checking time" GraphPIM's bypass avoids

@@ -86,7 +86,7 @@ Addr HmcCube::VaultLocalAddr(Addr addr) const {
   return block * kVaultInterleave + (addr % kVaultInterleave);
 }
 
-std::uint32_t HmcCube::PickLink(Tick /*when*/) const {
+std::uint32_t HmcCube::PickLink() const {
   const bool weigh_rx = fault_plan_.enabled();
   auto backlog = [&](const Link& l) {
     return weigh_rx ? l.tx_ready() + l.rx_ready() : l.tx_ready();
@@ -141,7 +141,7 @@ Tick HmcCube::MaybeStallVault(Tick at_vault) {
 
 Tick HmcCube::RequestToVault(std::uint32_t flits, Tick when, std::uint32_t* link_idx,
                              bool* poisoned) {
-  *link_idx = PickLink(when);
+  *link_idx = PickLink();
   Tick serialized = TransferWithRetry(*link_idx, /*tx_lane=*/true, flits, when,
                                       poisoned);
   Tick at_vault = serialized + params_.link_latency + params_.xbar_latency;

@@ -100,7 +100,7 @@ class HmcCube {
   // injection active the retry path loads both lanes, so selection also
   // weighs the RX backlog; fault-free selection is TX-only (unchanged from
   // the ideal model, preserving bit-identical results at zero knobs).
-  std::uint32_t PickLink(Tick when) const;
+  std::uint32_t PickLink() const;
 
   // Common front half: serialize request on a link, cross to the vault.
   // Returns arrival tick at the vault and sets *link_idx.

@@ -19,9 +19,7 @@ namespace graphpim::hmc {
 class Link {
  public:
   explicit Link(Tick flit_time)
-      : flit_time_(flit_time),
-        tx_(kEpoch, flit_time),
-        rx_(kEpoch, flit_time) {}
+      : tx_(kEpoch, flit_time), rx_(kEpoch, flit_time) {}
 
   // Reserves the TX lane for `flits` FLITs no earlier than `earliest`.
   // Returns the tick at which the last FLIT has been transmitted.
@@ -59,7 +57,6 @@ class Link {
  private:
   static constexpr Tick kEpoch = 25 * kTicksPerNs;
 
-  Tick flit_time_;
   EpochThrottle tx_;
   EpochThrottle rx_;
   Tick tx_tail_ = 0;

@@ -20,8 +20,8 @@ Vault::Vault(const HmcParams& params, StatRegistry* stats,
       sid_fu_fp_ops_(stats_.Counter("fu_fp_ops")),
       sid_bank_locked_ticks_(stats_.Counter("bank_locked_ticks")),
       banks_(params.banks_per_vault),
-      int_fu_ready_(std::max<std::uint32_t>(1, params.fus_per_vault), 0),
-      fp_fu_ready_(std::max<std::uint32_t>(1, params.fp_fus_per_vault), 0),
+      int_fus_(std::max<std::uint32_t>(1, params.fus_per_vault)),
+      fp_fus_(std::max<std::uint32_t>(1, params.fp_fus_per_vault)),
       ctrl_(25 * kTicksPerNs, std::max<Tick>(1, params.ctrl_overhead)) {
   GP_CHECK(std::has_single_bit(params.row_bytes),
            "row size must be a power of two");
@@ -35,8 +35,8 @@ Vault::Vault(const HmcParams& params, StatRegistry* stats,
 
 void Vault::Reset() {
   std::fill(banks_.begin(), banks_.end(), Bank{});
-  std::fill(int_fu_ready_.begin(), int_fu_ready_.end(), 0);
-  std::fill(fp_fu_ready_.begin(), fp_fu_ready_.end(), 0);
+  int_fus_.Reset();
+  fp_fus_.Reset();
   ctrl_.Reset();
   int_fu_busy_ = 0;
   fp_fu_busy_ = 0;
@@ -138,12 +138,10 @@ Vault::AccessResult Vault::Atomic(Addr addr, AtomicOp op, Tick arrival,
   const bool fp = IsFpOp(op);
   GP_CHECK(!fp || params_.enable_fp_atomics,
            "FP atomic reached the vault with the FP extension disabled");
-  std::vector<Tick>& pool = fp ? fp_fu_ready_ : int_fu_ready_;
-  auto fu = std::min_element(pool.begin(), pool.end());
+  SlotPool& fus = fp ? fp_fus_ : int_fus_;
   Tick fu_lat = fp ? params_.fu_fp_latency : params_.fu_int_latency;
-  Tick fu_start = std::max(read_ready, *fu);
-  Tick fu_done = fu_start + fu_lat;
-  *fu = fu_done;
+  Tick fu_done = fus.Acquire(read_ready) + fu_lat;
+  fus.Release(fu_done);
   (fp ? fp_fu_busy_ : int_fu_busy_) += fu_lat;
 
   // Write the result back; the bank stays locked for the whole RMW.

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/slot_pool.h"
 #include "common/span.h"
 #include "common/stats.h"
 #include "common/types.h"
@@ -119,8 +120,8 @@ class Vault {
   std::uint32_t row_shift_ = 0;
   std::uint32_t bank_shift_ = 0;
   std::uint64_t bank_mask_ = 0;
-  std::vector<Tick> int_fu_ready_;
-  std::vector<Tick> fp_fu_ready_;
+  SlotPool int_fus_;
+  SlotPool fp_fus_;
   EpochThrottle ctrl_;
   Tick int_fu_busy_ = 0;
   Tick fp_fu_busy_ = 0;

@@ -42,7 +42,7 @@ CacheHierarchy::CacheHierarchy(int num_cores, const CacheParams& params,
   }
   l3_ = std::make_unique<CacheArray>(params.l3_size, params.l3_ways, params.line_bytes);
   use_sharers_ = num_cores <= 64;
-  mshr_ready_.assign(num_cores, std::vector<Tick>(params.mshrs_per_core, 0));
+  mshrs_.assign(num_cores, SlotPool(params.mshrs_per_core));
   l3_bank_ready_.assign(params.l3_banks, 0);
   pf_streams_.assign(num_cores, std::vector<Addr>(params.prefetch_streams, ~Addr{0}));
   pf_next_slot_.assign(num_cores, 0);
@@ -52,7 +52,7 @@ void CacheHierarchy::Reset() {
   for (auto& l1 : l1_) l1->Clear();
   for (auto& l2 : l2_) l2->Clear();
   l3_->Clear();
-  for (auto& pool : mshr_ready_) std::fill(pool.begin(), pool.end(), 0);
+  for (SlotPool& mshrs : mshrs_) mshrs.Reset();
   std::fill(l3_bank_ready_.begin(), l3_bank_ready_.end(), 0);
   atomic_line_ready_.Clear();
   sharers_.Clear();
@@ -90,16 +90,6 @@ Tick CacheHierarchy::ReserveL3(Addr line, Tick when) {
   Tick start = std::max(when, l3_bank_ready_[bank]);
   l3_bank_ready_[bank] = start + params_.l3_occupancy;
   return start;
-}
-
-std::size_t CacheHierarchy::AcquireMshr(int core, Tick when, Tick* start) {
-  auto& pool = mshr_ready_[core];
-  std::size_t idx = 0;
-  for (std::size_t i = 1; i < pool.size(); ++i) {
-    if (pool[i] < pool[idx]) idx = i;
-  }
-  *start = std::max(when, pool[idx]);
-  return idx;
 }
 
 bool CacheHierarchy::DropPrivateCopies(Addr line, std::uint64_t mask,
@@ -260,14 +250,14 @@ AccessResult CacheHierarchy::AccessInternal(int core, AccessType type, Addr addr
   }
 
   // Main memory: MSHR-limited, filled from the HMC cube.
-  Tick issue = 0;
-  std::size_t mshr = AcquireMshr(core, t, &issue);
+  SlotPool& mshrs = mshrs_[core];
+  const Tick issue = mshrs.Acquire(t);
   if (issue > t) {
     res.issue_stall = issue;
     Stamp(span, trace::SpanStage::kIssue, t, issue);
   }
   hmc::Completion c = mem_->Read(line, params_.line_bytes, issue, span);
-  mshr_ready_[core][mshr] = c.response_at_host;
+  mshrs.Release(c.response_at_host);
   res.complete = c.response_at_host;
   FillAbove(core, line, 0, c.response_at_host, wants_exclusive);
   return res;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/line_map.h"
+#include "common/slot_pool.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "hmc/topology.h"
@@ -122,10 +123,6 @@ class CacheHierarchy {
   // Reserves an L3 bank slot; returns access start time.
   Tick ReserveL3(Addr line, Tick when);
 
-  // Reserves an MSHR for `core`; returns earliest issue time given `when`,
-  // and records occupancy until `complete` (call CompleteMshr).
-  std::size_t AcquireMshr(int core, Tick when, Tick* start);
-
   int num_cores_;
   CacheParams params_;
   hmc::HmcNetwork* mem_;
@@ -146,7 +143,7 @@ class CacheHierarchy {
   std::vector<std::unique_ptr<CacheArray>> l2_;
   std::unique_ptr<CacheArray> l3_;
 
-  std::vector<std::vector<Tick>> mshr_ready_;  // [core][mshr] busy-until tick
+  std::vector<SlotPool> mshrs_;  // one per core
   std::vector<Tick> l3_bank_ready_;  // one per bank; a power of two
 
   // Host locked RMWs to the same line serialize (the line lock bounces

@@ -1,11 +1,15 @@
-// Unit tests for the common substrate: config, strings, RNG, stats, types.
+// Unit tests for the common substrate: config, strings, RNG, stats, types,
+// the line map and the slot pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/config.h"
 #include "common/line_map.h"
 #include "common/random.h"
+#include "common/slot_pool.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "common/types.h"
@@ -407,6 +411,54 @@ TEST(LineMap, ClearMatchesAFreshMap) {
     ASSERT_EQ(a == nullptr, b == nullptr) << k;
     if (a != nullptr) {
       EXPECT_EQ(*a, *b) << k;
+    }
+  }
+}
+
+// The heap books the same multiset of busy-until ticks as the first-minimum
+// scan it replaced, which stays here as the reference: every issue tick and,
+// after every booking, the sorted ticks must match. Coarse ticks make ties
+// common, and one booking in eight ends before the tick it replaces.
+TEST(SlotPool, MatchesFirstMinimumScan) {
+  for (const std::size_t size : {1u, 2u, 16u, 17u}) {
+    SlotPool pool(size);
+    std::vector<Tick> scan(size, 0);
+    Rng rng(size);
+    Tick now = 0;
+    int ties = 0;
+    int earlier = 0;
+    for (int i = 0; i < 20000; ++i) {
+      if (i == 10000) {
+        pool.Reset();
+        std::fill(scan.begin(), scan.end(), 0);
+      }
+      now += rng.NextBounded(4) * 10;
+      const Tick when = now + rng.NextBounded(8) * 10;
+      std::size_t first = 0;
+      for (std::size_t j = 1; j < scan.size(); ++j) {
+        if (scan[j] < scan[first]) first = j;
+      }
+      ties += std::count(scan.begin(), scan.end(), scan[first]) > 1 ? 1 : 0;
+      const Tick issue = std::max(when, scan[first]);
+      ASSERT_EQ(pool.Acquire(when), issue) << size << " " << i;
+      const Tick done = rng.NextBounded(8) == 0
+                            ? rng.NextBounded(issue + 1)
+                            : issue + rng.NextBounded(40) * 10;
+      earlier += done < scan[first] ? 1 : 0;
+      scan[first] = done;
+      pool.Release(done);
+      std::vector<Tick> heap = pool.ticks();
+      std::sort(heap.begin(), heap.end());
+      std::vector<Tick> sorted = scan;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(heap, sorted) << size << " " << i;
+      const std::size_t busy = static_cast<std::size_t>(std::count_if(
+          scan.begin(), scan.end(), [now](Tick t) { return t > now; }));
+      ASSERT_EQ(pool.BusyAfter(now), busy) << size << " " << i;
+    }
+    EXPECT_GT(earlier, 100) << size;
+    if (size > 1) {
+      EXPECT_GT(ties, 50) << size;
     }
   }
 }
