@@ -43,11 +43,14 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)" --target graphpim_sim >/dev/null
 
 # Pinned scenarios: one plain baseline, one GraphPIM, one fault-injecting
-# run (decorrelated RNG paths must survive the refactor too).
+# run (decorrelated RNG paths must survive the refactor too), and one on
+# 80 cores, whose sharer bits take two words per L3 slot. Flags after
+# COMMON override it (the last value of a key wins).
 SCENARIOS=(
   "bfs_baseline|--workload=bfs --mode=baseline"
   "bfs_graphpim|--workload=bfs --mode=graphpim"
   "dc_graphpim_ber|--workload=dc --mode=graphpim --link-ber=1e-7"
+  "sssp_t80|--workload=sssp --mode=baseline --threads=80 --vertices=32768"
 )
 COMMON=(--profile=ldbc --vertices=2048 --opcap=150000 --threads=8 --seed=1
         --jobs=1)

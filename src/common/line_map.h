@@ -1,11 +1,10 @@
 // Flat open-addressing hash map keyed by cache-line addresses.
 //
-// The hierarchy's per-line side tables (sharers superset, atomic line
-// serialization) sit on the replay hot path: every fill and every host RMW
-// probes one. std::unordered_map pays a node allocation per insert and a
-// prime-modulo division per probe; this map is a pair of flat arrays with a
-// multiply-shift hash and linear probing, so a hit is typically one cache
-// line touch. Deletion uses backward-shift so no tombstones accumulate.
+// The hierarchy's atomic line serialization table sits on the replay hot
+// path: every host RMW probes it. std::unordered_map pays a node
+// allocation per insert and a prime-modulo division per probe; this map is
+// a pair of flat arrays with a multiply-shift hash and linear probing, so
+// a hit is typically one cache line touch.
 //
 // Iteration order is never exposed, so swapping this in for unordered_map
 // cannot perturb simulation results.
@@ -41,8 +40,8 @@ class LineMap {
 
   // Empties the map and keeps its grown capacity: lookups do not depend
   // on capacity, so a cleared map behaves as a fresh one and a reused
-  // map skips the Grow calls it already made. An empty map (never filled,
-  // or erased back to empty) holds no stale slot and is left alone.
+  // map skips the Grow calls it already made. An empty map holds no stale
+  // slot and is left alone.
   void Clear() {
     if (size_ == 0) return;
     std::fill(keys_.begin(), keys_.end(), kEmpty);
@@ -51,7 +50,7 @@ class LineMap {
   }
 
   // Pointer to the value for `key`, or nullptr if absent. Stable until the
-  // next insert or erase.
+  // next insert.
   V* Find(Addr key) {
     std::size_t i = Slot(key);
     const std::size_t mask = keys_.size() - 1;
@@ -80,34 +79,6 @@ class LineMap {
       }
       i = (i + 1) & mask;
     }
-  }
-
-  // Removes `key` if present, backward-shifting the probe chain so lookups
-  // never cross a tombstone.
-  void Erase(Addr key) {
-    const std::size_t mask = keys_.size() - 1;
-    std::size_t i = Slot(key);
-    while (keys_[i] != key) {
-      if (keys_[i] == kEmpty) return;
-      i = (i + 1) & mask;
-    }
-    std::size_t j = i;
-    while (true) {
-      j = (j + 1) & mask;
-      if (keys_[j] == kEmpty) break;
-      const std::size_t h = Slot(keys_[j]);
-      // keys_[j] may fill the hole at i unless its home slot lies in the
-      // cyclic range (i, j] — moving it past its home would break probing.
-      const bool home_between = (i < j) ? (h > i && h <= j) : (h > i || h <= j);
-      if (!home_between) {
-        keys_[i] = keys_[j];
-        vals_[i] = std::move(vals_[j]);
-        i = j;
-      }
-    }
-    keys_[i] = kEmpty;
-    vals_[i] = V{};
-    --size_;
   }
 
  private:

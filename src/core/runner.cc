@@ -108,23 +108,22 @@ Experiment::Experiment(const std::string& profile, VertexId num_vertices,
                        const std::string& workload_name, const Options& opts)
     : space_(std::make_unique<graph::AddressSpace>()),
       graph_(std::make_unique<graph::CsrGraph>(
-          graph::GenerateProfile(profile, num_vertices, opts.seed), *space_,
-          opts.dedup_edges)) {
+          graph::GenerateProfile(profile, num_vertices, opts.seed), *space_)) {
   GenerateTrace(workload_name, opts);
 }
 
 Experiment::Experiment(const graph::EdgeList& el, const std::string& workload_name,
                        const Options& opts)
     : space_(std::make_unique<graph::AddressSpace>()),
-      graph_(std::make_unique<graph::CsrGraph>(el, *space_, opts.dedup_edges)) {
+      graph_(std::make_unique<graph::CsrGraph>(el, *space_)) {
   GenerateTrace(workload_name, opts);
 }
 
 void Experiment::GenerateTrace(const std::string& workload_name, const Options& opts) {
   workload_ = workloads::CreateWorkload(workload_name, opts.params);
   workload_->SetPersistMode(opts.persist);
-  workloads::TraceBuilder tb(opts.num_threads, space_.get(), opts.mispredict_rate,
-                             opts.seed);
+  workloads::TraceBuilder tb(opts.num_threads, space_.get(),
+                             /*mispredict_rate=*/0.06, opts.seed);
   if (opts.op_cap != 0) tb.SetOpCap(opts.op_cap);
   workload_->Generate(*graph_, *space_, tb);
   trace_ = tb.Take();

@@ -62,8 +62,6 @@ class Experiment {
     int num_threads = 16;
     std::uint64_t seed = 1;
     std::uint64_t op_cap = 12'000'000;  // sampling guard for huge inputs
-    double mispredict_rate = 0.06;
-    bool dedup_edges = false;
 
     // Persist discipline the workload generates with (DESIGN.md §14).
     // kOff keeps the trace byte-identical to pre-pmem builds; the mutant

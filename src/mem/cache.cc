@@ -56,6 +56,12 @@ bool CacheArray::Contains(Addr addr) const {
   return const_cast<CacheArray*>(this)->Find(addr) != nullptr;
 }
 
+std::size_t CacheArray::SlotOf(Addr addr) const {
+  const Way* way = const_cast<CacheArray*>(this)->Find(addr);
+  GP_CHECK(way != nullptr, "SlotOf() of a line not present");
+  return static_cast<std::size_t>(way - ways_storage_.data());
+}
+
 CacheArray::Victim CacheArray::Insert(Addr addr, bool dirty) {
   std::uint32_t set = SetOf(addr);
   Addr tag = TagOf(addr);
@@ -76,6 +82,7 @@ CacheArray::Victim CacheArray::Insert(Addr addr, bool dirty) {
   }
   Way* target = hole != nullptr ? hole : lru;
   Victim victim;
+  victim.slot = static_cast<std::size_t>(target - ways_storage_.data());
   if (target->valid()) {
     victim.valid = true;
     victim.dirty = target->dirty();

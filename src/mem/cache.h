@@ -6,6 +6,7 @@
 #ifndef GRAPHPIM_MEM_CACHE_H_
 #define GRAPHPIM_MEM_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -19,11 +20,12 @@ class CacheArray {
   // set count must be a power of two.
   CacheArray(std::uint64_t size_bytes, std::uint32_t ways, std::uint32_t line_bytes);
 
-  // An evicted victim line returned by Insert().
+  // Insert()'s result: the slot it filled and the line it evicted there.
   struct Victim {
     bool valid = false;
     bool dirty = false;
     Addr line_addr = 0;
+    std::size_t slot = 0;
   };
 
   // Looks up `addr`; on a hit promotes the line to MRU.
@@ -35,6 +37,11 @@ class CacheArray {
   // Inserts the line for `addr` (must not already be present), evicting the
   // LRU line of the set if needed.
   Victim Insert(Addr addr, bool dirty);
+
+  // The slot of a present line (absent is a bug): its way's index, set *
+  // ways + way, below num_slots(). A slot names the line an Insert put
+  // there until that line is evicted or invalidated.
+  std::size_t SlotOf(Addr addr) const;
 
   // Marks the line dirty; returns false if not present.
   bool SetDirty(Addr addr);
@@ -54,6 +61,7 @@ class CacheArray {
   std::uint64_t size_bytes() const {
     return static_cast<std::uint64_t>(num_sets_) * ways_ * line_bytes_;
   }
+  std::size_t num_slots() const { return ways_storage_.size(); }
 
   // Number of currently valid lines (for tests).
   std::uint64_t ValidLines() const;
@@ -75,9 +83,9 @@ class CacheArray {
   // masked off iff the way is valid and holds `tag`.
   static std::uint64_t ProbeOf(Addr tag) { return (tag << 2) | 1; }
 
-  // The set walk behind Lookup, Contains, SetDirty and Invalidate: the way
-  // holding `addr`'s line, or nullptr. Insert walks the set itself, since
-  // it must also see the free and LRU ways.
+  // The set walk behind Lookup, Contains, SlotOf, SetDirty and Invalidate:
+  // the way holding `addr`'s line, or nullptr. Insert walks the set itself,
+  // since it must also see the free and LRU ways.
   Way* Find(Addr addr);
 
   std::uint32_t SetOf(Addr addr) const;

@@ -41,7 +41,8 @@ CacheHierarchy::CacheHierarchy(int num_cores, const CacheParams& params,
                                                params.line_bytes));
   }
   l3_ = std::make_unique<CacheArray>(params.l3_size, params.l3_ways, params.line_bytes);
-  use_sharers_ = num_cores <= 64;
+  sharer_words_ = (static_cast<std::size_t>(num_cores) + 63) / 64;
+  sharers_.resize(l3_->num_slots() * sharer_words_);
   mshrs_.assign(num_cores, SlotPool(params.mshrs_per_core));
   l3_bank_ready_.assign(params.l3_banks, 0);
   pf_streams_.assign(num_cores, std::vector<Addr>(params.prefetch_streams, ~Addr{0}));
@@ -55,7 +56,6 @@ void CacheHierarchy::Reset() {
   for (SlotPool& mshrs : mshrs_) mshrs.Reset();
   std::fill(l3_bank_ready_.begin(), l3_bank_ready_.end(), 0);
   atomic_line_ready_.Clear();
-  sharers_.Clear();
   for (auto& streams : pf_streams_) {
     std::fill(streams.begin(), streams.end(), ~Addr{0});
   }
@@ -92,33 +92,32 @@ Tick CacheHierarchy::ReserveL3(Addr line, Tick when) {
   return start;
 }
 
-bool CacheHierarchy::DropPrivateCopies(Addr line, std::uint64_t mask,
-                                       int skip, bool* dirty) {
+bool CacheHierarchy::DropPrivateCopies(Addr line, std::uint64_t* words,
+                                       int keep, bool* dirty) {
   bool any = false;
-  for (int c = 0; c < num_cores_; ++c) {
-    if (c == skip) continue;
-    if (use_sharers_ && ((mask >> c) & 1) == 0) continue;
-    bool d1 = false;
-    bool d2 = false;
-    const bool in_l1 = l1_[c]->Invalidate(line, &d1);
-    const bool in_l2 = l2_[c]->Invalidate(line, &d2);
-    any = any || in_l1 || in_l2;
-    *dirty = *dirty || d1 || d2;
+  for (std::size_t w = 0; w < sharer_words_; ++w) {
+    const std::uint64_t kept =
+        keep >= 0 && static_cast<std::size_t>(keep) / 64 == w
+            ? std::uint64_t{1} << (keep % 64)
+            : 0;
+    for (std::uint64_t bits = words[w] & ~kept; bits != 0; bits &= bits - 1) {
+      const std::size_t c = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+      bool d1 = false;
+      bool d2 = false;
+      const bool in_l1 = l1_[c]->Invalidate(line, &d1);
+      const bool in_l2 = l2_[c]->Invalidate(line, &d2);
+      any = any || in_l1 || in_l2;
+      *dirty = *dirty || d1 || d2;
+    }
+    words[w] = kept;
   }
   return any;
 }
 
 bool CacheHierarchy::InvalidateRemote(int core, Addr line) {
-  std::uint64_t mask = ~std::uint64_t{0};
-  if (use_sharers_) {
-    std::uint64_t* entry = sharers_.Find(line);
-    if (entry == nullptr) return false;
-    mask = *entry;
-    // Only the requester can still hold (or is about to fill) the line.
-    *entry = std::uint64_t{1} << core;
-  }
   bool dirty = false;
-  const bool any = DropPrivateCopies(line, mask, core, &dirty);
+  const bool any =
+      DropPrivateCopies(line, SharersOf(l3_->SlotOf(line)), core, &dirty);
   // A dirty remote copy is forwarded; preserve it at the L3 level so it is
   // not lost if the requester later evicts clean.
   if (dirty) GP_CHECK(l3_->SetDirty(line), "private line missing from the L3");
@@ -133,28 +132,31 @@ void CacheHierarchy::FillAbove(int core, Addr line, int hit_level, Tick when,
     if (dirty) l1.SetDirty(line);
     return;
   }
+  std::size_t slot = 0;
   if (hit_level == 0) {
     // Shared L3 (inclusive of all private caches).
-    CacheArray::Victim v3 = l3_->Insert(line, false);
+    const CacheArray::Victim v3 = l3_->Insert(line, false);
+    slot = v3.slot;
+    std::uint64_t* words = SharersOf(slot);
     if (v3.valid) {
-      // Inclusive back-invalidation of the victim line everywhere; with
-      // the sharers map, "everywhere" shrinks to the recorded holders and
-      // the victim's entry dies with its L3 residency.
-      std::uint64_t vmask = ~std::uint64_t{0};
-      if (use_sharers_) {
-        const std::uint64_t* ventry = sharers_.Find(v3.line_addr);
-        vmask = ventry != nullptr ? *ventry : 0;
-        if (ventry != nullptr) sharers_.Erase(v3.line_addr);
-      }
+      // Inclusive back-invalidation of the victim line at its recorded
+      // holders, which empties the slot's words.
       bool victim_dirty = v3.dirty;
-      DropPrivateCopies(v3.line_addr, vmask, /*skip=*/-1, &victim_dirty);
+      DropPrivateCopies(v3.line_addr, words, /*keep=*/-1, &victim_dirty);
       if (victim_dirty) {
         mem_->Write(v3.line_addr, params_.line_bytes, when);
         stats_.Inc(sid_writebacks_);
       }
+    } else {
+      std::fill_n(words, sharer_words_, 0);
     }
+  } else if (hit_level == 3) {
+    slot = l3_->SlotOf(line);
   }
   if (hit_level != 2) {
+    // A fill from the L3 or from memory records the requester as a holder;
+    // a core that hits in its own L2 already has its bit set.
+    SharersOf(slot)[core / 64] |= std::uint64_t{1} << (core % 64);
     // Private L2. Its victim leaves the L1 too, and a dirty one stays
     // dirty in the L3, which holds it by inclusion.
     CacheArray::Victim v2 = l2.Insert(line, false);
@@ -172,7 +174,6 @@ void CacheHierarchy::FillAbove(int core, Addr line, int hit_level, Tick when,
   if (v1.valid && v1.dirty) {
     GP_CHECK(l2.SetDirty(v1.line_addr), "L1 victim missing from the L2");
   }
-  if (use_sharers_) sharers_[line] |= std::uint64_t{1} << core;
 }
 
 AccessResult CacheHierarchy::Access(int core, AccessType type, Addr addr,

@@ -11,6 +11,8 @@
 // a line present in another core's private cache pays a snoop-invalidation
 // latency and is counted as coherence traffic; full MESI state transitions
 // beyond presence/dirtiness are not tracked (see DESIGN.md "Fidelity").
+// The inclusive L3 is the directory: each L3 slot keeps one sharer bit per
+// core beside its tag.
 #ifndef GRAPHPIM_MEM_HIERARCHY_H_
 #define GRAPHPIM_MEM_HIERARCHY_H_
 
@@ -84,8 +86,9 @@ class CacheHierarchy {
   int ProbeLevel(int core, Addr addr) const;
 
   // Restores the cold state of a freshly built hierarchy: empty arrays,
-  // idle MSHRs and L3 banks, no line locks, sharers or prefetch streams.
-  // The counters belong to the registry and are left as they are.
+  // idle MSHRs and L3 banks, no line locks or prefetch streams. The sharer
+  // words and the registry's counters are left as they are: an L3 insert
+  // rewrites a slot's words before they are read.
   void Reset();
 
   int num_cores() const { return num_cores_; }
@@ -103,10 +106,16 @@ class CacheHierarchy {
 
   Addr LineOf(Addr addr) const;
 
-  // Invalidates `line` in the private caches of every core in `mask` (all
-  // cores without the sharers map) but `skip`; returns true if any copy
-  // existed, and sets *dirty if a dropped copy was dirty.
-  bool DropPrivateCopies(Addr line, std::uint64_t mask, int skip, bool* dirty);
+  // The sharer words of L3 slot `slot`.
+  std::uint64_t* SharersOf(std::size_t slot) {
+    return &sharers_[slot * sharer_words_];
+  }
+
+  // Invalidates `line` in the private caches of every core whose bit is
+  // set in `words` but `keep` (-1 keeps none), in ascending core order, and
+  // leaves only `keep`'s bit set; returns true if any copy existed, and sets
+  // *dirty if a dropped copy was dirty.
+  bool DropPrivateCopies(Addr line, std::uint64_t* words, int keep, bool* dirty);
 
   // Invalidates `line` in other cores' private caches; returns true if any
   // copy existed. Dirty remote copies are (logically) forwarded.
@@ -150,15 +159,14 @@ class CacheHierarchy {
   // between cores); tracks when each line's previous RMW completed.
   LineMap<Tick> atomic_line_ready_;
 
-  // Sharers superset: line → bitmask of cores that MAY hold a private
-  // copy. Every private fill sets the owner's bit; bits go stale when a
-  // private victim eviction silently drops a copy (a set bit may scan and
-  // find nothing), but a clear bit never misses one — so coherence scans
-  // touch only recorded sharers instead of every core. Entries die with
-  // the line's L3 residency (inclusive back-invalidation), which bounds
-  // the map to the L3 line count. Disabled (full scans) beyond 64 cores.
-  bool use_sharers_ = false;
-  LineMap<std::uint64_t> sharers_;
+  // The directory: sharer_words_ words per L3 slot, one bit per core that
+  // MAY hold a private copy of the slot's line. A fill from the L3 or from
+  // memory sets the requester's bit. A private eviction leaves its bit set
+  // (a set bit may find nothing), but a clear bit never misses a copy. An
+  // L3 insert empties the slot's words. Kept apart from the tags so an
+  // 8-way set of 16-byte ways still spans two host cache lines.
+  std::size_t sharer_words_;
+  std::vector<std::uint64_t> sharers_;
 
   // Per-core stream-prefetcher reference lines.
   std::vector<std::vector<Addr>> pf_streams_;

@@ -38,6 +38,23 @@ ServedGraph::ServedGraph(const Options& opts) : opts_(opts) {
       static_cast<std::uint64_t>(graph_->num_vertices()) *
           graph::kVertexPropertyStride,
       page);
+  // Each tenant takes two property segments of the PMR and two frontier
+  // queues of the meta segment. A tenant count that either segment cannot
+  // hold is an input error, found before anything is carved.
+  const std::uint64_t carve_bytes = 2 * seg_bytes;
+  const std::uint64_t queue_bytes = 2 * kQueueSlots * 4;
+  const std::uint64_t pmr_free =
+      space_.pmr_end() - RoundUpTo(space_.pmr().used_end(), page);
+  const std::uint64_t meta_free =
+      space_.meta().end() - RoundUpTo(space_.meta().used_end(), 64);
+  if (opts.num_tenants > pmr_free / carve_bytes ||
+      opts.num_tenants > meta_free / queue_bytes) {
+    GP_THROW(opts.num_tenants, " tenants of ", graph_->num_vertices(),
+             " vertices do not fit the simulated address space: each tenant"
+             " takes ", carve_bytes, " bytes of the PMR segment (",
+             pmr_free, " free) and ", queue_bytes,
+             " bytes of the meta segment (", meta_free, " free)");
+  }
   carves_.reserve(opts.num_tenants);
   queue_addr_.reserve(opts.num_tenants * 2);
   for (std::uint32_t t = 0; t < opts.num_tenants; ++t) {

@@ -158,6 +158,12 @@ TEST(ErrorPaths, CacheDoubleInsertAfterAHoleIsBug) {
   EXPECT_DEATH({ c.Insert(0x400, false); }, "already present");
 }
 
+TEST(ErrorPaths, CacheSlotOfAbsentLineIsBug) {
+  mem::CacheArray c(4096, 4, 64);
+  c.Insert(0x40, false);
+  EXPECT_DEATH({ (void)c.SlotOf(0x80); }, "not present");
+}
+
 // Bad workload/profile names are recoverable (SimError): a sweep isolates
 // the failing cell instead of dying, and the CLI drivers catch at main().
 TEST(ErrorPaths, UnknownWorkloadThrows) {

@@ -1,6 +1,8 @@
 // Tests for the set-associative cache array.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
 #include <vector>
 
 #include "common/random.h"
@@ -119,6 +121,75 @@ TEST(CacheArray, ClearMatchesAFreshArray) {
   EXPECT_EQ(used.ValidLines(), 0u);
   CacheArray fresh(1024, 2, 64);
   EXPECT_EQ(Drive(used, 2, 500), Drive(fresh, 2, 500));
+}
+
+// An Insert goes to a free way of the line's set when it has one, a hole
+// left by Invalidate included, and reports the slot it filled; an evicted
+// line's slot is the one its replacement takes.
+TEST(CacheArray, InsertReusesAnInvalidatedSlot) {
+  CacheArray c(512, 2, 64);  // 4 sets x 2 ways; 0x0, 0x100, 0x200 in set 0
+  const std::size_t first = c.Insert(0x0, false).slot;
+  const std::size_t second = c.Insert(0x100, false).slot;
+  EXPECT_NE(first, second);
+  ASSERT_TRUE(c.Invalidate(0x0));
+  const CacheArray::Victim hole = c.Insert(0x200, false);
+  EXPECT_FALSE(hole.valid);
+  EXPECT_EQ(hole.slot, first);
+  EXPECT_EQ(c.SlotOf(0x100), second);
+  const CacheArray::Victim evicted = c.Insert(0x300, false);
+  ASSERT_TRUE(evicted.valid);
+  EXPECT_EQ(evicted.line_addr, 0x100u);
+  EXPECT_EQ(evicted.slot, second);
+  EXPECT_EQ(c.SlotOf(0x300), second);
+}
+
+// Under seeded lookups, inserts and invalidations, every present line keeps
+// the slot its Insert reported until it leaves, the slots of present lines
+// are distinct and lie in their set's row below num_slots(), and a set
+// with a free way never evicts.
+TEST(CacheArray, SlotsNameLinesUntilTheyLeave) {
+  CacheArray c(1024, 2, 64);  // 8 sets x 2 ways
+  ASSERT_EQ(c.num_slots(), 16u);
+  std::map<Addr, std::size_t> slot_of;  // the present lines
+  SplitMix64 rng(5);
+  int evictions = 0;
+  int holes = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t r = rng.Next();
+    const Addr addr = (r >> 8) % 64 * 64;
+    const std::size_t set = addr / 64 % 8;
+    if (r % 3 == 0) {
+      if (c.Invalidate(addr)) slot_of.erase(addr);
+    } else if (c.Contains(addr)) {
+      c.Lookup(addr);
+    } else {
+      std::size_t in_set = 0;
+      for (const auto& [line, slot] : slot_of) {
+        if (line / 64 % 8 == set) ++in_set;
+      }
+      const CacheArray::Victim v = c.Insert(addr, false);
+      ASSERT_EQ(v.slot, c.SlotOf(addr)) << i;
+      ASSERT_EQ(v.slot / c.ways(), set) << i;
+      ASSERT_EQ(v.valid, in_set == c.ways()) << i;
+      if (v.valid) {
+        ASSERT_EQ(slot_of.at(v.line_addr), v.slot) << i;
+        slot_of.erase(v.line_addr);
+        ++evictions;
+      } else if (in_set > 0) {
+        ++holes;
+      }
+      slot_of[addr] = v.slot;
+    }
+    std::set<std::size_t> taken;
+    for (const auto& [line, slot] : slot_of) {
+      ASSERT_EQ(c.SlotOf(line), slot) << i;
+      ASSERT_LT(slot, c.num_slots()) << i;
+      ASSERT_TRUE(taken.insert(slot).second) << i;
+    }
+  }
+  EXPECT_EQ(c.ValidLines(), slot_of.size());
+  EXPECT_GT(evictions, 100);
+  EXPECT_GT(holes, 100);
 }
 
 TEST(CacheArray, CapacityBoundedBySize) {

@@ -322,6 +322,12 @@ TEST(ServeEngine, FlagReachableParamErrorsThrowSimError) {
   ServedGraph::Options bad = TinyGraph();
   bad.num_tenants = 0;
   EXPECT_THROW(ServedGraph{bad}, SimError);
+  // Two 128 KB carves per tenant at 2048 vertices: the 2 GiB PMR holds
+  // 8192 tenants and no more.
+  bad.num_tenants = 8192;
+  EXPECT_EQ(ServedGraph{bad}.num_tenants(), 8192u);
+  bad.num_tenants = 8193;
+  EXPECT_THROW(ServedGraph{bad}, SimError);
 }
 
 // Serve times that would pass the serve clock's range (and with it the

@@ -81,6 +81,18 @@ std::vector<T> ParseList(const std::string& arg, const char* flag,
   return out;
 }
 
+// Reads the integer flag `key` (default `def`) and checks that it lies in
+// [lo, hi], so a value the narrowing casts below would wrap into another
+// valid-looking one is a SimError naming the flag instead.
+std::int64_t GetIntIn(const Config& cfg, const char* key, std::int64_t def,
+                      std::int64_t lo, std::int64_t hi) {
+  const std::int64_t v = cfg.GetInt(key, def);
+  if (v < lo || v > hi) {
+    GP_THROW("--", key, "=", v, " is out of range [", lo, ", ", hi, "]");
+  }
+  return v;
+}
+
 int Run(const Config& cfg) {
   std::vector<std::string> keys = {
       "profile",   "vertices",  "tenants",     "modes",       "arrivals",
@@ -101,7 +113,8 @@ int Run(const Config& cfg) {
     GP_THROW("--vertices=", vertices, " does not fit a 32-bit vertex id");
   }
   go.num_vertices = static_cast<VertexId>(vertices);
-  go.num_tenants = static_cast<std::uint32_t>(cfg.GetUint("tenants", 2));
+  go.num_tenants = static_cast<std::uint32_t>(GetIntIn(
+      cfg, "tenants", 2, 1, std::numeric_limits<std::uint32_t>::max()));
   go.seed = cfg.GetUint("seed", 1);
 
   // --- serve parameters ----------------------------------------------
@@ -115,12 +128,14 @@ int Run(const Config& cfg) {
   if (cfg.Has("mix")) {
     base.traffic.mix = serve::ParseMixSpec(cfg.GetString("mix", ""));
   }
-  base.query.max_hops = static_cast<int>(cfg.GetInt("max-hops", 2));
+  base.query.max_hops = static_cast<int>(
+      GetIntIn(cfg, "max-hops", 2, 0, std::numeric_limits<int>::max()));
   base.query.max_frontier = cfg.GetUint("max-frontier", 64);
   base.query.op_budget = cfg.GetUint("op-budget", 4000);
   base.queue_depth = cfg.GetUint("queue-depth", 64);
   base.drop = serve::ParseDropPolicy(cfg.GetString("drop", "tail"));
-  base.slots = static_cast<int>(cfg.GetInt("slots", 2));
+  base.slots = static_cast<int>(
+      GetIntIn(cfg, "slots", 2, 1, std::numeric_limits<int>::max()));
   base.batch_max = cfg.GetUint("batch", 4);
   base.dispatch_ns = cfg.GetDouble("dispatch-ns", 500.0);
   base.slo_ns = cfg.GetDouble("slo-ns", 0.0);
