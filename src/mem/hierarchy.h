@@ -165,7 +165,7 @@ class CacheHierarchy {
   // (a set bit may find nothing), but a clear bit never misses a copy. An
   // L3 insert empties the slot's words. Kept apart from the tags so an
   // 8-way set of 16-byte ways still spans two host cache lines.
-  std::size_t sharer_words_;
+  std::size_t sharer_words_ = 0;
   std::vector<std::uint64_t> sharers_;
 
   // Per-core stream-prefetcher reference lines.

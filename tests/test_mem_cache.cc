@@ -153,7 +153,7 @@ TEST(CacheArray, SlotsNameLinesUntilTheyLeave) {
   std::map<Addr, std::size_t> slot_of;  // the present lines
   SplitMix64 rng(5);
   int evictions = 0;
-  int holes = 0;
+  int free_way_fills = 0;  // inserts into a set that holds other lines
   for (int i = 0; i < 4000; ++i) {
     const std::uint64_t r = rng.Next();
     const Addr addr = (r >> 8) % 64 * 64;
@@ -176,7 +176,7 @@ TEST(CacheArray, SlotsNameLinesUntilTheyLeave) {
         slot_of.erase(v.line_addr);
         ++evictions;
       } else if (in_set > 0) {
-        ++holes;
+        ++free_way_fills;
       }
       slot_of[addr] = v.slot;
     }
@@ -189,7 +189,7 @@ TEST(CacheArray, SlotsNameLinesUntilTheyLeave) {
   }
   EXPECT_EQ(c.ValidLines(), slot_of.size());
   EXPECT_GT(evictions, 100);
-  EXPECT_GT(holes, 100);
+  EXPECT_GT(free_way_fills, 100);
 }
 
 TEST(CacheArray, CapacityBoundedBySize) {

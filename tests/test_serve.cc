@@ -328,6 +328,13 @@ TEST(ServeEngine, FlagReachableParamErrorsThrowSimError) {
   EXPECT_EQ(ServedGraph{bad}.num_tenants(), 8192u);
   bad.num_tenants = 8193;
   EXPECT_THROW(ServedGraph{bad}, SimError);
+  // At 64 vertices the meta segment runs out first: two 16 KB frontier
+  // queues per tenant fill its 2 GiB at 65,536 tenants.
+  bad.num_vertices = 64;
+  bad.num_tenants = 65536;
+  EXPECT_EQ(ServedGraph{bad}.num_tenants(), 65536u);
+  bad.num_tenants = 65537;
+  EXPECT_THROW(ServedGraph{bad}, SimError);
 }
 
 // Serve times that would pass the serve clock's range (and with it the
